@@ -18,6 +18,7 @@ from .engine import (
     domination_degree,
     domination_degree_oracle,
     domination_degree_witness,
+    domination_degrees,
     domination_number,
     domination_profile,
     enumerate_minimal_dominating_sets,
@@ -65,6 +66,7 @@ __all__ = [
     "domination_degree",
     "domination_degree_oracle",
     "domination_degree_witness",
+    "domination_degrees",
     "domination_number",
     "domination_profile",
     "emit_dot",

@@ -48,55 +48,46 @@ def solve_dd(closed, v, k_lo, k_hi):
 
 
 def _stage(closed, n, full, v, k):
-    chosen = []
-    priv = [0] * n
-    cover = 0
-    if v >= 0:
-        chosen.append(v)
-        priv[v] = closed[v]
-        cover = closed[v]
+    cands = [x for x in range(n) if x != v]
+    ncands = len(cands)
 
-    def rec(last, cover):
+    # privs: the private territory of each chosen vertex, in the order
+    # chosen. Each level gets its own list, so backtracking undoes nothing.
+    def rec(start, cover, mask, privs):
         if cover == full:
-            size = len(chosen)
-            mask = 0
-            for a in chosen:
-                mask |= 1 << a
-            return size, mask
-        slots = k - len(chosen)
+            return len(privs), mask
+        slots = k - len(privs)
         if slots <= 0:
             return None
         unc = full & ~cover
-        caps = sorted(((closed[x] & unc).bit_count() for x in range(n)), reverse=True)
-        if sum(caps[:slots]) < unc.bit_count():
-            return None
-        for x in range(last + 1, n):
-            if x == v:
-                continue
-            gain = closed[x] & ~cover
-            if gain == 0:
+        need = unc.bit_count()
+        # budget bound over all n vertices: the best `slots` gains must reach `need`
+        caps = [(c & unc).bit_count() for c in closed]
+        if slots == 1:
+            if max(caps) < need:
+                return None
+        else:
+            caps.sort(reverse=True)
+            if sum(caps[:slots]) < need:
+                return None
+        for i in range(start, ncands):
+            x = cands[i]
+            cx = closed[x]
+            gain = cx & ~cover
+            if not gain:
                 continue  # x would arrive with empty private territory
-            blocked = False
-            for a in chosen:
-                if priv[a] & ~closed[x] == 0:
-                    blocked = True
-                    break
-            if blocked:
-                continue
-            saved = [(a, priv[a]) for a in chosen]
-            for a in chosen:
-                priv[a] &= ~closed[x]
-            priv[x] = gain
-            chosen.append(x)
-            hit = rec(x, cover | closed[x])
+            kept = [p & ~cx for p in privs]
+            if 0 in kept:
+                continue  # x would take a member's last private vertex
+            kept.append(gain)
+            hit = rec(i + 1, cover | cx, mask | 1 << x, kept)
             if hit is not None:
                 return hit
-            chosen.pop()
-            for a, p in saved:
-                priv[a] = p
         return None
 
-    return rec(-1, cover)
+    if v >= 0:
+        return rec(0, closed[v], 1 << v, [closed[v]])
+    return rec(0, 0, 0, [])
 
 
 def _cover_table(closed, n):

@@ -34,7 +34,7 @@ from .errors import (
     VertexNotInSet,
     VertexOutOfRange,
 )
-from .graph import Graph, VertexSet, bits_of, max_degree
+from .graph import Graph, VertexSet, bits_of, mask_of, max_degree
 
 DEFAULT_EXACT_CAP = 24   # staged searches, profiles, set enumeration
 DEFAULT_SCAN_CAP = 20    # full subset scans: irredundance numbers, oracle
@@ -147,12 +147,42 @@ def domination_degree_witness(
 
     The witness is deterministic: the lexicographically least minimum-size
     minimal dominating set containing ``v`` (compared as a sorted id tuple).
+
+    The staged search starts at the lower bound ceil(n/(1+Δ)) on γ rather
+    than at γ itself, so a single query runs no unconstrained γ search.
+    The witness is the same either way: no dominating set has fewer than
+    γ vertices, so every stage below γ fails, the first stage that
+    succeeds is still dd(v), and a stage's search does not depend on
+    where the stages started.
     """
     _require_vertices(g)
     g.check_vertex(v)
     _check_cap(g.n, cap, "domination degree search")
-    size, mask = _dd_with_bound(g, v, domination_number(g, cap))
+    size, mask = _dd_with_bound(g, v, _gamma_lower_bound(g))
     return size, VertexSet(g.n, mask)
+
+
+def domination_degrees(
+    g: Graph, cap: int = DEFAULT_EXACT_CAP, gamma: int | None = None
+) -> tuple[int, list[int], list[VertexSet]]:
+    """(γ, degrees, witnesses) for every vertex, searching γ only once.
+
+    The witnesses are those of :func:`domination_degree_witness`. A known
+    ``gamma`` skips the γ search; it is then the shared lower bound of
+    every vertex's staged search, which costs less over all vertices than
+    starting each one at ceil(n/(1+Δ)).
+    """
+    _require_vertices(g)
+    _check_cap(g.n, cap, "domination degree search")
+    if gamma is None:
+        gamma = domination_number(g, cap)
+    degrees = []
+    witnesses = []
+    for v in range(g.n):
+        size, mask = _dd_with_bound(g, v, gamma)
+        degrees.append(size)
+        witnesses.append(VertexSet(g.n, mask))
+    return gamma, degrees, witnesses
 
 
 @dataclass(frozen=True)
@@ -183,18 +213,9 @@ def domination_profile(
     """Compute every profile field; self-checks the textbook inequalities."""
     _require_vertices(g)
     _check_cap(g.n, min(cap, _SCAN_HARD_CAP), "domination profile")
+    gamma, degrees, witnesses = domination_degrees(g, cap)
     kern = kernels_for(g.n)
     closed = list(g.closed_adj)
-    gamma_hit = kern.solve_dd(closed, -1, _gamma_lower_bound(g), g.n)
-    if gamma_hit is None:
-        raise InternalInvariantViolation("no dominating set found")
-    gamma = gamma_hit[0]
-    degrees = []
-    witnesses = []
-    for v in range(g.n):
-        size, mask = _dd_with_bound(g, v, gamma)
-        degrees.append(size)
-        witnesses.append(VertexSet(g.n, mask))
     upper = max(m.bit_count() for m in kern.scan_minimal_ds(closed))
     ir = upper_ir = None
     if g.n <= ir_cap:
@@ -277,18 +298,18 @@ def minimalize_containing(g: Graph, d: VertexSet, v: int) -> VertexSet:
     members = set(d.members())
     for _ in range(2 * g.n + 4):
         while True:
-            redundant = [a for a in members if a != v and _private_mask(g, a, _bits(members)) == 0]
+            redundant = [a for a in members if a != v and _private_mask(g, a, mask_of(members)) == 0]
             if not redundant:
                 break
             members.remove(max(redundant))
-        if _private_mask(g, v, _bits(members)) != 0:
+        if _private_mask(g, v, mask_of(members)) != 0:
             out = g.vertex_set(members)
             if is_minimal_dominating(g, out):
                 return out
             break
         dominator = min(x for x in members if x != v and (closed[x] >> v) & 1)
         members.remove(dominator)
-        covered = _cover(g, _bits(members))
+        covered = _cover(g, mask_of(members))
         for x in bits_of(full & ~covered):
             if (covered >> x) & 1:
                 continue
@@ -296,13 +317,6 @@ def minimalize_containing(g: Graph, d: VertexSet, v: int) -> VertexSet:
             covered |= closed[x]
     size, mask = _dd_with_bound(g, v, 1)
     return VertexSet(g.n, mask)
-
-
-def _bits(ids) -> int:
-    m = 0
-    for i in ids:
-        m |= 1 << i
-    return m
 
 
 def dd_vector_oracle(g: Graph, cap: int = DEFAULT_SCAN_CAP) -> list[int]:

@@ -72,16 +72,21 @@ def emit_edgelist(g: Graph) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _dot_id(label: str) -> str:
+    """A DOT quoted ID: backslash and double quote escaped."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def emit_dot(g: Graph, highlight: VertexSet | None = None) -> str:
     """Undirected DOT text; highlighted vertices are drawn filled."""
     marked = set(highlight.members()) if highlight is not None else set()
     lines = ["graph G {"]
     for v in sorted(range(g.n), key=lambda v: g.labels[v]):
         attr = " [style=filled]" if v in marked else ""
-        lines.append(f'  "{g.labels[v]}"{attr};')
+        lines.append(f"  {_dot_id(g.labels[v])}{attr};")
     pairs = sorted(tuple(sorted((g.labels[u], g.labels[v]))) for u, v in g.edges())
     for a, b in pairs:
-        lines.append(f'  "{a}" -- "{b}";')
+        lines.append(f"  {_dot_id(a)} -- {_dot_id(b)};")
     lines.append("}")
     return "".join(line + "\n" for line in lines)
 

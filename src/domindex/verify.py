@@ -24,6 +24,7 @@ from typing import Iterator
 from .engine import (
     DEFAULT_EXACT_CAP,
     dd_vector_oracle,
+    domination_degrees,
     domination_number,
     domination_profile,
     enumerate_minimal_dominating_sets,
@@ -133,11 +134,7 @@ def describe(g: Graph) -> str:
 
 def dd_vector(g: Graph, cap: int = DEFAULT_EXACT_CAP, gamma: int | None = None) -> list[int]:
     """Per-vertex domination degrees via the staged engine search."""
-    from .engine import _dd_with_bound  # staged path with a shared lower bound
-
-    if gamma is None:
-        gamma = domination_number(g, cap)
-    return [_dd_with_bound(g, v, gamma)[0] for v in range(g.n)]
+    return domination_degrees(g, cap, gamma)[1]
 
 
 class _Rec:

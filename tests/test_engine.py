@@ -7,10 +7,12 @@ from domindex import (
     domination_degree,
     domination_degree_oracle,
     domination_degree_witness,
+    domination_degrees,
     domination_number,
     domination_profile,
     enumerate_minimal_dominating_sets,
     irredundance_numbers,
+    is_connected,
     is_dominating,
     is_irredundant,
     is_minimal_dominating,
@@ -21,6 +23,7 @@ from domindex import (
     private_neighborhood,
     upper_domination_number,
 )
+from domindex.engine import _dd_with_bound
 from domindex.errors import ExactCapExceeded, NotDominating, VertexNotInSet, VertexOutOfRange
 from domindex.verify import random_graph
 
@@ -265,6 +268,39 @@ def test_staged_equals_oracle_random(i):
     for v in range(g.n):
         assert domination_degree(g, v) == expected[v]
     assert min(expected) == gamma
+
+
+def test_witness_is_lex_least_minimum_set_containing_v():
+    # Every vertex of seeded random graphs, n 1-11, sparse enough to have
+    # isolated vertices and several components: the witness must equal the
+    # search started at gamma, and the lex-least (sorted id tuple) of the
+    # minimum-size minimal dominating sets containing v found by brute force.
+    isolated = disconnected = 0
+    for n in range(1, 12):
+        for j, p in enumerate((0.0, 0.1, 0.2, 0.35, 0.6)):
+            g = random_graph(n, p, seed=100 * n + j)
+            isolated += any(g.open_adj[v] == 0 for v in range(g.n))
+            disconnected += not is_connected(g)
+            gamma = domination_number(g)
+            sets = [s.members() for s in enumerate_minimal_dominating_sets(g)]
+            shared = domination_degrees(g)
+            assert shared[0] == gamma
+            for v in range(n):
+                size, w = domination_degree_witness(g, v)
+                assert (size, w.bits) == _dd_with_bound(g, v, gamma)
+                containing = [s for s in sets if v in s]
+                least = min(len(s) for s in containing)
+                assert w.members() == min(s for s in containing if len(s) == least)
+                assert (shared[1][v], shared[2][v]) == (size, w)
+    assert isolated >= 10 and disconnected >= 10
+
+
+def test_domination_degrees_with_known_gamma(petersen):
+    gamma, degs, wits = domination_degrees(petersen)
+    assert gamma == 3 and degs == [3] * 10
+    assert domination_degrees(petersen, gamma=gamma) == (gamma, degs, wits)
+    with pytest.raises(ExactCapExceeded):
+        domination_degrees(petersen, cap=9)
 
 
 @given(st.integers(0, 300))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -77,6 +78,23 @@ def test_dot_output(f9):
     dot = emit_dot(f9, hl)
     assert dot.count("style=filled") == 3
     assert emit_dot(f9).count("style=filled") == 0
+
+
+def _dot_ids(dot):
+    # Quoted IDs as Graphviz lexes them: a backslash pair or an escaped
+    # quote stays inside the string; an unescaped quote ends it.
+    raw = re.findall(r'"((?:[^"\\]|\\.)*)"', dot)
+    return [re.sub(r'\\(["\\])', r"\1", r) for r in raw]
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    g = parse_edgelist('a"x c\nd\\ c\n')
+    dot = emit_dot(g, g.vertex_set_from_labels(['a"x']))
+    assert dot == (
+        'graph G {\n  "a\\"x" [style=filled];\n  "c";\n  "d\\\\";\n'
+        '  "a\\"x" -- "c";\n  "c" -- "d\\\\";\n}\n'
+    )
+    assert _dot_ids(dot) == ['a"x', "c", "d\\", 'a"x', "c", "c", "d\\"]
 
 
 def test_report_json(f9, petersen):
