@@ -1,40 +1,10 @@
-"""Build script for the optional compiled kernels.
+"""Build the optional compiled kernels: ``python setup.py build_ext --inplace``.
 
-The package is fully functional without the extension (a pure-Python
-implementation of the same kernels is selected at import time), so a
-failed compile only costs speed, never functionality.
+``optional=True`` turns a failed compile into a warning: the pure-Python
+twin of the same kernels is selected at import time, so it costs speed,
+never functionality.
 """
 
-import warnings
+from setuptools import Extension, setup
 
-from setuptools import setup
-from setuptools.command.build_ext import build_ext
-from setuptools.extension import Extension
-
-
-class optional_build_ext(build_ext):
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:  # compiler missing, etc.
-            warnings.warn(f"compiled kernels skipped: {exc}")
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            warnings.warn(f"compiled kernels skipped ({ext.name}): {exc}")
-
-
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    return cythonize(
-        [Extension("domindex._kernels", ["src/domindex/_kernels.pyx"])],
-        language_level=3,
-    )
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": optional_build_ext})
+setup(ext_modules=[Extension("domindex._kernels", ["src/domindex/_kernels.c"], optional=True)])

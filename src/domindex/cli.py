@@ -48,7 +48,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
         sp.add_argument("--format", choices=("text", "json", "dot"), default=None)
         sp.add_argument("--max-exact", type=int, default=engine.DEFAULT_EXACT_CAP, metavar="N")
-        sp.add_argument("--seed", type=int, default=0, metavar="S")
 
     sp = sub.add_parser("analyze", help="full domination profile of a graph")
     common(sp)
@@ -211,7 +210,7 @@ def _cmd_mds_containing(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    limits = verify.Limits(max_n=args.limit, cap=args.max_exact, seed=args.seed, quick=args.quick)
+    limits = verify.Limits(max_n=args.limit, cap=args.max_exact, quick=args.quick)
     report = verify.run_suite(args.suite, limits)
     if args.ledger:
         verify.write_ledger(report, args.ledger)

@@ -101,7 +101,6 @@ class Limits:
 
     max_n: int | None = None
     cap: int = DEFAULT_EXACT_CAP
-    seed: int = 0
     quick: bool = False
 
 
