@@ -214,12 +214,10 @@ def domination_profile(
     _require_vertices(g)
     _check_cap(g.n, min(cap, _SCAN_HARD_CAP), "domination profile")
     gamma, degrees, witnesses = domination_degrees(g, cap)
-    kern = kernels_for(g.n)
-    closed = list(g.closed_adj)
-    upper = max(m.bit_count() for m in kern.scan_minimal_ds(closed))
+    upper = upper_domination_number(g, cap)
     ir = upper_ir = None
     if g.n <= ir_cap:
-        ir, upper_ir = kern.scan_irredundance(closed)
+        ir, upper_ir = irredundance_numbers(g, ir_cap)
     index = sum(degrees)
     profile = DominationProfile(
         degrees=tuple(degrees),

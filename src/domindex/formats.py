@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 
 from .errors import DuplicateEdgeWarning, MalformedLine, SelfLoop
-from .graph import Graph, VertexSet, bits_of, is_connected, new_graph
+from .graph import Graph, VertexSet, is_connected, new_graph
 
 
 def parse_edgelist(text: str) -> Graph:
@@ -91,60 +90,43 @@ def emit_dot(g: Graph, highlight: VertexSet | None = None) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-@dataclass(frozen=True)
-class ProfileReport:
-    """Serializable snapshot of a graph's domination profile."""
-
-    n: int
-    m: int
-    connected: bool
-    vertices: tuple[dict, ...]
-    gamma: int
-    upper_gamma: int
-    ir: int | None
-    upper_ir: int | None
-    di: int
-    min_dd: int
-    max_dd: int
-    is_drg: bool
-
-
-def build_report(g: Graph, profile) -> ProfileReport:
-    vertices = tuple(
-        {
-            "label": g.labels[v],
-            "dd": profile.degrees[v],
-            "witness": sorted(g.labels[u] for u in bits_of(profile.witnesses[v].bits)),
-        }
-        for v in range(g.n)
-    )
-    return ProfileReport(
-        n=g.n,
-        m=g.m,
-        connected=is_connected(g),
-        vertices=vertices,
-        gamma=profile.gamma,
-        upper_gamma=profile.upper_gamma,
-        ir=profile.ir,
-        upper_ir=profile.upper_ir,
-        di=profile.index,
-        min_dd=profile.min_dd,
-        max_dd=profile.max_dd,
-        is_drg=profile.is_drg,
-    )
-
-
-def emit_report_json(report: ProfileReport) -> str:
-    payload = {
-        "graph": {"n": report.n, "m": report.m, "connected": report.connected},
-        "vertices": list(report.vertices),
-        "gamma": report.gamma,
-        "upper_gamma": report.upper_gamma,
-        "ir": report.ir,
-        "upper_ir": report.upper_ir,
-        "di": report.di,
-        "min_dd": report.min_dd,
-        "max_dd": report.max_dd,
-        "is_drg": report.is_drg,
+def build_report(g: Graph, profile) -> dict:
+    """JSON-ready snapshot of a graph's domination profile."""
+    return {
+        "graph": {"n": g.n, "m": g.m, "connected": is_connected(g)},
+        "vertices": [
+            {
+                "label": g.labels[v],
+                "dd": profile.degrees[v],
+                "witness": sorted(g.labels_of(profile.witnesses[v])),
+            }
+            for v in range(g.n)
+        ],
+        "gamma": profile.gamma,
+        "upper_gamma": profile.upper_gamma,
+        "ir": profile.ir,
+        "upper_ir": profile.upper_ir,
+        "di": profile.index,
+        "min_dd": profile.min_dd,
+        "max_dd": profile.max_dd,
+        "is_drg": profile.is_drg,
     }
-    return json.dumps(payload, indent=2) + "\n"
+
+
+def emit_report_json(report: dict) -> str:
+    return json.dumps(report, indent=2) + "\n"
+
+
+def emit_report_text(report: dict) -> str:
+    """Three summary lines, then one line per vertex: degree and witness."""
+    graph = report["graph"]
+    lines = [
+        f"n={graph['n']} m={graph['m']} connected={graph['connected']}",
+        f"gamma={report['gamma']} upper_gamma={report['upper_gamma']}"
+        f" ir={report['ir']} upper_ir={report['upper_ir']}",
+        f"di={report['di']} min_dd={report['min_dd']} max_dd={report['max_dd']}"
+        f" drg={report['is_drg']}",
+    ]
+    for rec in report["vertices"]:
+        lines.append(f"{rec['label']}: dd={rec['dd']} witness={' '.join(rec['witness'])}")
+    return "".join(line + "\n" for line in lines)

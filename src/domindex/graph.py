@@ -8,7 +8,6 @@ labels, ids never leave the library.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -178,22 +177,10 @@ def max_degree(g: Graph) -> int:
     return max(a.bit_count() for a in g.open_adj)
 
 
-def _reach_mask(g: Graph, start: int) -> int:
-    seen = 1 << start
-    frontier = deque([start])
-    while frontier:
-        v = frontier.popleft()
-        fresh = g.open_adj[v] & ~seen
-        seen |= fresh
-        for u in bits_of(fresh):
-            frontier.append(u)
-    return seen
-
-
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         raise VertexOutOfRange("graph has no vertices")
-    return _reach_mask(g, 0) == g.full_mask
+    return -1 not in distances_from(g, 0)
 
 
 def distances_from(g: Graph, src: int) -> list[int]:

@@ -270,7 +270,9 @@ def _suite_inequalities(limits: Limits) -> CheckReport:
     return rec.finish()
 
 
-def _criterion_family_grid() -> list[FamilySpec]:
+def family_grid() -> list[FamilySpec]:
+    """Family specs with closed-form degrees and index: the core of the
+    ``families`` suite's pool."""
     specs = [FamilySpec("complete", (n,)) for n in range(1, 9)]
     specs += [FamilySpec("multipartite", t) for t in ((2, 2), (2, 3), (3, 3, 3))]
     specs += [FamilySpec("star", (n,)) for n in range(2, 9)]
@@ -292,7 +294,7 @@ def _family_pool(limits: Limits) -> list[FamilySpec]:
             + [FamilySpec("windmill", (2, 2)), FamilySpec("kragujevac", (1, 1))]
             + [FamilySpec("path", (n,)) for n in (3, 4, 5)]
         )
-    pool = _criterion_family_grid()
+    pool = family_grid()
     pool.append(FamilySpec("book", (1,)))
     pool += [FamilySpec("path", (n,)) for n in range(3, 13)]
     pool += [FamilySpec(k) for k in ("petersen", "herschel", "grotzsch")]
@@ -570,21 +572,19 @@ def write_ledger(report: CheckReport, path: str) -> None:
     """One JSON record per discrepancy, line-delimited."""
     with open(path, "w", encoding="utf-8") as fh:
         for d in report.discrepancies:
-            fh.write(
-                json.dumps(
-                    {
-                        "suite": report.suite,
-                        "claim": d.claim,
-                        "proved": d.proved,
-                        "instance": d.instance,
-                        "expected": _jsonable(d.expected),
-                        "computed": _jsonable(d.computed),
-                        "witness": _jsonable(d.witness),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            record = {"suite": report.suite, **_discrepancy_record(d)}
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def _discrepancy_record(d: Discrepancy) -> dict:
+    return {
+        "claim": d.claim,
+        "proved": d.proved,
+        "instance": d.instance,
+        "expected": _jsonable(d.expected),
+        "computed": _jsonable(d.computed),
+        "witness": _jsonable(d.witness),
+    }
 
 
 def _jsonable(x):
@@ -621,17 +621,7 @@ def report_to_json(report: CheckReport) -> str:
         "instances": report.instances,
         "passes": report.passes,
         "proved_failures": len(report.proved_failures),
-        "discrepancies": [
-            {
-                "claim": d.claim,
-                "proved": d.proved,
-                "instance": d.instance,
-                "expected": _jsonable(d.expected),
-                "computed": _jsonable(d.computed),
-                "witness": _jsonable(d.witness),
-            }
-            for d in report.discrepancies
-        ],
+        "discrepancies": [_discrepancy_record(d) for d in report.discrepancies],
         "runtime_seconds": round(report.runtime_seconds, 3),
         "details": _jsonable(report.details),
     }

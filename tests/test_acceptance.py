@@ -28,7 +28,7 @@ from domindex import (
 )
 from domindex.families import predicted_degree, predicted_index
 from domindex.formats import emit_edgelist
-from domindex.verify import dd_vector
+from domindex.verify import dd_vector, family_grid
 
 import conftest
 from conftest import DATA
@@ -57,22 +57,11 @@ def test_criterion_1_named_graphs():
     )
 
 
-def _criterion_2_grid():
-    specs = [FamilySpec("complete", (n,)) for n in range(1, 9)]
-    specs += [FamilySpec("multipartite", t) for t in ((2, 2), (2, 3), (3, 3, 3))]
-    specs += [FamilySpec("star", (n,)) for n in range(2, 9)]
-    specs += [FamilySpec("cycle", (n,)) for n in range(3, 13)]
-    specs += [FamilySpec("wheel", (n,)) for n in range(3, 11)]
-    specs += [FamilySpec("book", (n,)) for n in range(2, 6)]
-    specs += [FamilySpec("windmill", rs) for rs in ((2, 2), (3, 2), (3, 3), (4, 2))]
-    specs += [FamilySpec("kragujevac", t) for t in ((1, 1), (2, 2), (2, 3), (1, 2, 3))]
-    return specs
-
-
 def test_criterion_2_family_formulas():
     t0 = time.monotonic()
+    grid = family_grid()
     bad = []
-    for spec in _criterion_2_grid():
+    for spec in grid:
         g = generate(spec).graph
         degs = dd_vector(g)
         for v in range(g.n):
@@ -81,7 +70,7 @@ def test_criterion_2_family_formulas():
         if sum(degs) != predicted_index(spec):
             bad.append((spec, "index", sum(degs)))
     elapsed = time.monotonic() - t0
-    _report(2, not bad and elapsed < 120, f"{len(_criterion_2_grid())} family specs, "
+    _report(2, not bad and elapsed < 120, f"{len(grid)} family specs, "
             f"mismatches={bad[:3]} in {elapsed:.1f}s (cap 120s)")
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -142,3 +144,122 @@ def test_determinism():
     a = run(["analyze", "--in", F9])
     b = run(["analyze", "--in", F9])
     assert a == b
+
+
+# sha256 of stdout for every (subcommand, format) pair; "A | B" feeds A's
+# stdout to B's stdin and hashes B's. Any change here changes what users see.
+GOLDEN_STDOUT = {
+    "analyze --in F9 --format json":
+        "c0231d19f47361f0c5b6e108c49d370829ad7577a98f8fd525e47ceec6d47576",
+    "analyze --in F9 --format text":
+        "6ed3888066bb6cd6df0ceffd3c4179b12ac4eb014ace80eac162326b7fd8097a",
+    "degree --in F9 --vertex a2 --format text":
+        "7987e2ebfef5c77ac0cc26ba295597078d6b215481f497a95fea25e18f5e0043",
+    "degree --in F9 --vertex a2 --format json":
+        "b49ff8af9df145968524fa5b1081af7b24c20b1934967e0a42301d8d47aeaeb8",
+    "facility --in F9 --hub a2 --format text":
+        "0c7c52cc79c180ea1e1e12e4d193e1b2c3413d53f2f276edce91794e1912d0d6",
+    "mds-containing --in F9 --vertex a2 --algorithm greedy --format text":
+        "ea8ed0bb8c439fb6ca64147daa63d5a477025df0b3c97b377825794f26494dbd",
+    "mds-containing --in F9 --vertex a2 --algorithm exact --format text":
+        "ea8ed0bb8c439fb6ca64147daa63d5a477025df0b3c97b377825794f26494dbd",
+    "facility --in F9 --hub a2 --format json":
+        "8d3721df83f48d678db2b0805ecbf20e2fb9cb48a56493bccbc576736f9fafd9",
+    "mds-containing --in F9 --vertex a2 --algorithm greedy --format json":
+        "ad4ef880440b50d5cda4699de97d666c27323ac960cb80b685908c4698496373",
+    "mds-containing --in F9 --vertex a2 --algorithm exact --format json":
+        "ad4ef880440b50d5cda4699de97d666c27323ac960cb80b685908c4698496373",
+    "facility --in F9 --hub a2 --format dot":
+        "0b6a230c5c55dad39d69d0a93c321525bc4917697531b909ef92aac7ce94e75d",
+    "mds-containing --in F9 --vertex a2 --algorithm greedy --format dot":
+        "0b6a230c5c55dad39d69d0a93c321525bc4917697531b909ef92aac7ce94e75d",
+    "mds-containing --in F9 --vertex a2 --algorithm exact --format dot":
+        "0b6a230c5c55dad39d69d0a93c321525bc4917697531b909ef92aac7ce94e75d",
+    "generate petersen --format text":
+        "c48dd763921dc3756ec897110e6aa69d06bea3e1917289979e8ae6b9eede8ec0",
+    "generate petersen --format dot":
+        "58208ba94729494378ddf298eb6ef1cb2677b8953e44df5f51139293e5ab7866",
+    "generate petersen | analyze --format json":
+        "3a0431d96d40f2ed5c681836bd0c4dfd6dc164665da6be1f41987b94635fb47e",
+    "generate petersen | analyze --format text":
+        "da7f9d1f2fcac28cb6ba7ee0a10fd17adc86e42890fe7b205975246f5f26d371",
+    "generate cycle:12 --format text":
+        "ab4b23ccf064ef1b65e11f824d35a0cc5cb267181847a4d0eea1ed7ecc34c180",
+    "generate cycle:12 --format dot":
+        "11d19186a414da9d52ea6581b7123c3344309c37133a559630ee2385fb614cbc",
+    "generate cycle:12 | analyze --format json":
+        "530412dfcb8a207daa69b850c27bd224869020f1634bde5fab874d0d7b10f7de",
+    "generate cycle:12 | analyze --format text":
+        "213ff32337a36b682ce375e06d40ac7ff13d70c84909b408fa27bf826eec732b",
+    "generate book:4 --format text":
+        "0ab0a7407880e9e28ec4be658b3b07c1893dcba23ed55d641ebc1d0e5c91d60c",
+    "generate book:4 --format dot":
+        "18be5c20ca000e39dd0c0acf95d618efd1a76c83ac46cd9669392a747dccd764",
+    "generate book:4 | analyze --format json":
+        "9eebd9ee4e69b372de0e1c28c8d7568938e9f21e142b1d247b3feae0d6434142",
+    "generate book:4 | analyze --format text":
+        "6ce2c544dc4e60c8190d4a8afc6969c6faf09529c8071184084abbcafe8ffc2a",
+    "generate windmill:r=3,s=4 --format text":
+        "1ecb670dcd434660e4c6a252a08ea9478c13387116998eb8e0f2ac95af823675",
+    "generate windmill:r=3,s=4 --format dot":
+        "bd8b7dfe10478b6aff4398da15255601cdbd35586025a2ee2aa803f5bda8f1a1",
+    "generate windmill:r=3,s=4 | analyze --format json":
+        "ce01fd0d46babf8edc5cd2354fde114b71bf75a48e7f8878f5d19231b6e1ac3a",
+    "generate windmill:r=3,s=4 | analyze --format text":
+        "809698f13722907771e36c1a6acc781dcef866a25c8d9485bd218842705cfa5c",
+    "op union --in F9 --in F9 --format text":
+        "b685e2ba6cad897e6126e2c2f51db67f701d188ddaa740a428bc5b8fea731b2b",
+    "generate complete:1 | op corona --in F9 --in - --format text":
+        "9ace997996ee87b5a73827595dcb5fe04f01e2d80c1a9d3c29bbd20748c671c6",
+    "op union --in F9 --in F9 --format dot":
+        "2cc1c96ff346aa847c4ec64bf2cdace42604b0be9c3eeeacec9700161321bf7d",
+    "generate complete:1 | op corona --in F9 --in - --format dot":
+        "c6f55fdb9d1127fd5f4ed29147908dfbf5458319e7654ae84fa53818288ba241",
+    "analyze --in F9":
+        "c0231d19f47361f0c5b6e108c49d370829ad7577a98f8fd525e47ceec6d47576",
+    "degree --in F9 --vertex a2":
+        "7987e2ebfef5c77ac0cc26ba295597078d6b215481f497a95fea25e18f5e0043",
+    "facility --in F9 --hub a2":
+        "0c7c52cc79c180ea1e1e12e4d193e1b2c3413d53f2f276edce91794e1912d0d6",
+    "mds-containing --in F9 --vertex a2":
+        "ea8ed0bb8c439fb6ca64147daa63d5a477025df0b3c97b377825794f26494dbd",
+    "generate petersen":
+        "c48dd763921dc3756ec897110e6aa69d06bea3e1917289979e8ae6b9eede8ec0",
+    "op union --in F9 --in F9":
+        "b685e2ba6cad897e6126e2c2f51db67f701d188ddaa740a428bc5b8fea731b2b",
+}
+
+
+def _golden_stdout(case: str) -> str:
+    stdin = ""
+    for stage in case.split(" | "):
+        argv = [F9 if tok == "F9" else tok for tok in stage.split()]
+        code, stdin, _ = run(argv, stdin=stdin)
+        assert code == 0, stage
+    return hashlib.sha256(stdin.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(case):
+    assert _golden_stdout(case) == GOLDEN_STDOUT[case]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["degree", "--in", F9, "--vertex", "a2", "--format", "dot"],
+        ["verify", "--suite", "named-graphs", "--quick", "--format", "dot"],
+        ["analyze", "--in", F9, "--format", "dot"],
+        ["generate", "cycle:5", "--format", "json"],
+        ["generate", "cycle:5", "--max-exact", "3"],
+    ],
+)
+def test_unsupported_option_is_usage_error(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 1
+    assert out.getvalue() == ""

@@ -86,3 +86,5 @@ def test_report_serialization(tmp_path):
     assert len(rows) == len(report.discrepancies)
     assert all(row["suite"] == "named-graphs" for row in rows)
     assert all(not row["proved"] for row in rows)
+    without_suite = [{k: v for k, v in row.items() if k != "suite"} for row in rows]
+    assert without_suite == payload["discrepancies"]
