@@ -26,6 +26,10 @@ scan_minimal_ds(closed)
 scan_irredundance(closed)
     (ir, IR): minimum cardinality of a maximal irredundant set and
     maximum cardinality of an irredundant set, by full subset scan.
+
+Every function raises ValueError for a graph with no vertices, and the
+scans also for one over 26 vertices. Only ``solve_dd`` of this twin
+takes graphs over 64 vertices.
 """
 
 from __future__ import annotations
@@ -33,10 +37,13 @@ from __future__ import annotations
 from array import array
 
 BACKEND_NAME = "python"
+_MAX_SCAN = 26  # as in the compiled twin: a cover table has 2^n words
 
 
 def solve_dd(closed, v, k_lo, k_hi):
     n = len(closed)
+    if n < 1:
+        raise ValueError("python kernel handles 1 or more vertices, got 0")
     full = (1 << n) - 1
     base = [v] if v >= 0 else []
     lo = max(k_lo, len(base))
@@ -90,9 +97,16 @@ def _stage(closed, n, full, v, k):
     return rec(0, 0, 0, [])
 
 
+def _scan_order(closed):
+    n = len(closed)
+    if not 1 <= n <= _MAX_SCAN:
+        raise ValueError(f"subset scan handles 1..{_MAX_SCAN} vertices, got {n}")
+    return n
+
+
 def _cover_table(closed, n):
     size = 1 << n
-    cover = array("Q", bytes(8 * size)) if n <= 64 else [0] * size
+    cover = array("Q", bytes(8 * size))
     for m in range(1, size):
         low = m & -m
         cover[m] = cover[m ^ low] | closed[low.bit_length() - 1]
@@ -100,7 +114,7 @@ def _cover_table(closed, n):
 
 
 def scan_minimal_ds(closed):
-    n = len(closed)
+    n = _scan_order(closed)
     full = (1 << n) - 1
     cover = _cover_table(closed, n)
     out = []
@@ -122,7 +136,7 @@ def scan_minimal_ds(closed):
 
 
 def scan_irredundance(closed):
-    n = len(closed)
+    n = _scan_order(closed)
     size = 1 << n
     cover = _cover_table(closed, n)
     irr = bytearray(size)

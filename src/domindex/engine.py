@@ -281,9 +281,10 @@ def minimalize_containing(g: Graph, d: VertexSet, v: int) -> VertexSet:
     Redundant members other than ``v`` are dropped highest id first. When
     ``v`` itself is the only redundant member, one of its dominators is
     swapped out and the territory that dominator covered alone is
-    re-covered by its own vertices; the loop then resumes dropping. The
-    output is predicate-checked; if the construction fails to settle the
-    exact search supplies a witness instead.
+    re-covered by its own vertices; the loop then resumes dropping. Each
+    swap removes a neighbour of ``v`` and re-covering adds none (``N[v]``
+    stays covered by ``v``), so after at most deg(v) swaps ``v`` is its
+    own private neighbour. The output is predicate-checked.
     """
     _check_bound(g, d)
     g.check_vertex(v)
@@ -294,16 +295,12 @@ def minimalize_containing(g: Graph, d: VertexSet, v: int) -> VertexSet:
     closed = g.closed_adj
     full = g.full_mask
     members = set(d.members())
-    for _ in range(2 * g.n + 4):
-        while True:
-            redundant = [a for a in members if a != v and _private_mask(g, a, mask_of(members)) == 0]
-            if not redundant:
-                break
+    while True:
+        redundant = [a for a in members if a != v and _private_mask(g, a, mask_of(members)) == 0]
+        if redundant:
             members.remove(max(redundant))
+            continue
         if _private_mask(g, v, mask_of(members)) != 0:
-            out = g.vertex_set(members)
-            if is_minimal_dominating(g, out):
-                return out
             break
         dominator = min(x for x in members if x != v and (closed[x] >> v) & 1)
         members.remove(dominator)
@@ -313,8 +310,10 @@ def minimalize_containing(g: Graph, d: VertexSet, v: int) -> VertexSet:
                 continue
             members.add(x)
             covered |= closed[x]
-    size, mask = _dd_with_bound(g, v, 1)
-    return VertexSet(g.n, mask)
+    out = g.vertex_set(members)
+    if not is_minimal_dominating(g, out):
+        raise InternalInvariantViolation(f"minimalizing around vertex {v} gave a non-minimal set")
+    return out
 
 
 def dd_vector_oracle(g: Graph, cap: int = DEFAULT_SCAN_CAP) -> list[int]:

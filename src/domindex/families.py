@@ -4,7 +4,8 @@ Each family comes with closed-form predictions for the per-vertex
 domination degree and for the domination index. Predictions marked
 :data:`UNRESOLVED` are contested (the published formulas for those cases
 are internally inconsistent); the verification harness settles them
-against the brute-force oracle instead of trusting either variant.
+against the brute-force oracle instead of trusting either variant. Every
+published value, contested or not, is stated once in this module.
 """
 
 from __future__ import annotations
@@ -305,10 +306,46 @@ def _ceil3(n: int) -> int:
     return (n + 2) // 3
 
 
+def _book_degree(n: int, v: int) -> int:
+    return 2 if v < 2 else n
+
+
+def _book_index(n: int) -> int:
+    return 2 * (n * n + 2)
+
+
+# The remarks on the named graphs: (degree of every vertex, index).
+NAMED_REMARKS = {"petersen": (3, 30), "herschel": (3, 33), "grotzsch": (3, 33)}
+
+
+def contested_variants(spec: FamilySpec) -> tuple[dict[str, tuple[int, ...]], dict[str, int]]:
+    """Published degree patterns and indices of a contested ``spec``, each
+    keyed by where it is published; two empty dicts when ``spec`` is not
+    contested.
+
+    * path n = 3k+2: the theorem's statement and its own proof disagree;
+    * book:1: the book formula, on the 4-cycle the book degenerates to;
+    * grotzsch: the remark; exhaustive search gives degree 4 on the five
+      shadow vertices and index 38.
+    """
+    kind, p = spec.kind, spec.params
+    if kind == "path" and p[0] % 3 == 2:
+        return path_degree_variants(p[0]), path_index_variants(p[0])
+    if kind == "book" and p[0] == 1:
+        degrees = tuple(_book_degree(1, v) for v in range(4))
+        return {"formula": degrees}, {"formula": _book_index(1)}
+    if kind == "grotzsch":
+        degree, index = NAMED_REMARKS[kind]
+        return {"remark": (degree,) * 11}, {"remark": index}
+    return {}, {}
+
+
 def predicted_degree(spec: FamilySpec, v: int):
     """Closed-form domination degree of vertex ``v`` in the generated
     graph, or UNRESOLVED where the published formula is contested."""
     kind, p = spec.kind, spec.params
+    if contested_variants(spec)[0]:
+        return UNRESOLVED
     if kind == "complete":
         return 1
     if kind == "multipartite":
@@ -316,42 +353,25 @@ def predicted_degree(spec: FamilySpec, v: int):
     if kind == "star":
         return 1 if v == 0 else p[0]
     if kind == "path":
-        return _path_degree(p[0], v + 1)
+        return path_degree_variants(p[0])["statement"][v]
     if kind == "cycle":
         return _ceil3(p[0])
     if kind == "wheel":
         return 1 if v == 0 else _ceil3(p[0])
     if kind == "book":
-        if p[0] == 1:
-            return UNRESOLVED  # degenerates to a 4-cycle; formula breaks
-        return 2 if v < 2 else p[0]
+        return _book_degree(p[0], v)
     if kind == "windmill":
         return 1 if v == 0 else p[1]
     if kind == "kragujevac":
         return 1 + sum(p)
-    if kind == "grotzsch":
-        # the published remark says 3 everywhere, but exhaustive search
-        # gives 4 on the degree-3 orbit; left to the harness to settle
-        return UNRESOLVED
-    return 3  # petersen, herschel
-
-
-GROTZSCH_REMARK_DEGREES = (3,) * 11
-GROTZSCH_REMARK_INDEX = 33
-
-
-def _path_degree(n: int, pos: int):
-    k, t = divmod(n, 3)
-    if t == 1:
-        return k + 1
-    if t == 0:
-        return k if pos % 3 == 2 else k + 1
-    return UNRESOLVED
+    return NAMED_REMARKS[kind][0]
 
 
 def predicted_index(spec: FamilySpec):
     """Closed-form domination index, or UNRESOLVED for contested cases."""
     kind, p = spec.kind, spec.params
+    if contested_variants(spec)[1]:
+        return UNRESOLVED
     if kind == "complete":
         return p[0]
     if kind == "multipartite":
@@ -359,20 +379,13 @@ def predicted_index(spec: FamilySpec):
     if kind == "star":
         return 1 + p[0] ** 2
     if kind == "path":
-        k, t = divmod(p[0], 3)
-        if t == 0:
-            return k * (3 * k + 2)
-        if t == 1:
-            return (3 * k + 1) * (k + 1)
-        return UNRESOLVED
+        return path_index_variants(p[0])["statement"]
     if kind == "cycle":
         return p[0] * _ceil3(p[0])
     if kind == "wheel":
         return 1 + p[0] * _ceil3(p[0])
     if kind == "book":
-        if p[0] == 1:
-            return UNRESOLVED
-        return 2 * (p[0] ** 2 + 2)
+        return _book_index(p[0])
     if kind == "windmill":
         # consistent with the per-vertex values: one center plus
         # s*(r-1) blade vertices of degree s each
@@ -381,11 +394,7 @@ def predicted_index(spec: FamilySpec):
     if kind == "kragujevac":
         order = 1 + sum(2 * s + 1 for s in p)
         return order * (1 + sum(p))
-    if kind == "petersen":
-        return 30
-    if kind == "grotzsch":
-        return UNRESOLVED  # remark value 33 contradicts the oracle
-    return 33  # herschel
+    return NAMED_REMARKS[kind][1]
 
 
 def path_degree_variants(n: int) -> dict[str, tuple[int, ...]]:

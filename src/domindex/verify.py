@@ -34,7 +34,9 @@ from .engine import (
 )
 from .errors import EnumerationCapExceeded, UnknownSuite
 from .families import (
+    NAMED_REMARKS,
     FamilySpec,
+    contested_variants,
     format_family,
     generate,
     path_degree_variants,
@@ -55,18 +57,6 @@ from .ops import (
     union_predicted,
 )
 
-SUITE_NAMES = (
-    "definitional",
-    "inequalities",
-    "families",
-    "paths-resolution",
-    "operations",
-    "monotonicity",
-    "products-ordering",
-    "named-graphs",
-)
-
-
 @dataclass(frozen=True)
 class Discrepancy:
     claim: str
@@ -80,11 +70,20 @@ class Discrepancy:
 @dataclass
 class CheckReport:
     suite: str
-    instances: int
-    passes: int
-    discrepancies: list[Discrepancy]
-    runtime_seconds: float
+    instances: int = 0
+    passes: int = 0
+    discrepancies: list[Discrepancy] = field(default_factory=list)
+    runtime_seconds: float = 0.0
     details: dict = field(default_factory=dict)
+
+    def record(self, claim, instance, ok, expected, computed, witness=None, proved=True):
+        self.instances += 1
+        if ok:
+            self.passes += 1
+        else:
+            self.discrepancies.append(
+                Discrepancy(claim, instance, expected, computed, witness, proved)
+            )
 
     @property
     def proved_failures(self) -> list[Discrepancy]:
@@ -136,33 +135,11 @@ def dd_vector(g: Graph, cap: int = DEFAULT_EXACT_CAP, gamma: int | None = None) 
     return domination_degrees(g, cap, gamma)[1]
 
 
-class _Rec:
-    def __init__(self, suite: str):
-        self.suite = suite
-        self.instances = 0
-        self.passes = 0
-        self.discrepancies: list[Discrepancy] = []
-        self.details: dict = {}
-        self._t0 = time.perf_counter()
-
-    def record(self, claim, instance, ok, expected, computed, witness=None, proved=True):
-        self.instances += 1
-        if ok:
-            self.passes += 1
-        else:
-            self.discrepancies.append(
-                Discrepancy(claim, instance, expected, computed, witness, proved)
-            )
-
-    def finish(self) -> CheckReport:
-        return CheckReport(
-            suite=self.suite,
-            instances=self.instances,
-            passes=self.passes,
-            discrepancies=self.discrepancies,
-            runtime_seconds=time.perf_counter() - self._t0,
-            details=self.details,
-        )
+def _matching(variants: dict, value) -> tuple[list[str], str | None]:
+    """The names of the published variants equal to ``value``, and the
+    first of them (None when there is none)."""
+    names = [name for name, published in variants.items() if published == value]
+    return names, names[0] if names else None
 
 
 def run_suite(suite: str, limits: Limits | None = None) -> CheckReport:
@@ -171,7 +148,10 @@ def run_suite(suite: str, limits: Limits | None = None) -> CheckReport:
         fn = _SUITES[suite]
     except KeyError:
         raise UnknownSuite(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}") from None
-    return fn(limits)
+    t0 = time.perf_counter()
+    report = fn(limits)
+    report.runtime_seconds = time.perf_counter() - t0
+    return report
 
 
 def _all_graphs(top: int) -> Iterator[Graph]:
@@ -180,27 +160,29 @@ def _all_graphs(top: int) -> Iterator[Graph]:
 
 
 def _suite_named_graphs(limits: Limits) -> CheckReport:
-    rec = _Rec("named-graphs")
-    # (claimed index, rigorously argued?): the petersen values come with
-    # an argument and verify; the other two are bare remarks, so their
-    # failures are recorded as contested rather than as build breakage.
-    expected = {"petersen": (30, True), "herschel": (33, False), "grotzsch": (33, False)}
-    for kind, (di, rigorous) in expected.items():
+    rec = CheckReport("named-graphs")
+    # rigorously argued? The petersen values come with an argument and
+    # verify; the other two are bare remarks, so their failures are
+    # recorded as contested rather than as build breakage.
+    rigorous = {"petersen": True, "herschel": False, "grotzsch": False}
+    for kind, proved in rigorous.items():
+        dd, di = NAMED_REMARKS[kind]
         g = generate(FamilySpec(kind)).graph
         prof = domination_profile(g, limits.cap)
         rec.record(
             "named-degree", kind,
-            all(d == 3 for d in prof.degrees), "3 for every vertex",
-            list(prof.degrees), proved=rigorous,
+            all(d == dd for d in prof.degrees), f"{dd} for every vertex",
+            list(prof.degrees), proved=proved,
         )
-        rec.record("named-index", kind, prof.index == di, di, prof.index, proved=rigorous)
-        rec.record("named-gamma", kind, prof.gamma == 3, 3, prof.gamma)
-        rec.record("named-drg", kind, prof.is_drg, True, prof.is_drg, proved=rigorous)
-    return rec.finish()
+        rec.record("named-index", kind, prof.index == di, di, prof.index, proved=proved)
+        # γ is the least domination degree
+        rec.record("named-gamma", kind, prof.gamma == dd, dd, prof.gamma)
+        rec.record("named-drg", kind, prof.is_drg, True, prof.is_drg, proved=proved)
+    return rec
 
 
 def _suite_definitional(limits: Limits) -> CheckReport:
-    rec = _Rec("definitional")
+    rec = CheckReport("definitional")
     top = limits.max_n if limits.max_n is not None else 6
     for g in _all_graphs(top):
         inst = describe(g)
@@ -230,11 +212,11 @@ def _suite_definitional(limits: Limits) -> CheckReport:
                 "complement-of-minimal-ds-dominates", inst,
                 bad is None, "complement dominates for every minimal ds", bad,
             )
-    return rec.finish()
+    return rec
 
 
 def _suite_inequalities(limits: Limits) -> CheckReport:
-    rec = _Rec("inequalities")
+    rec = CheckReport("inequalities")
     top = limits.max_n if limits.max_n is not None else 6
     for g in _all_graphs(top):
         inst = describe(g)
@@ -267,7 +249,7 @@ def _suite_inequalities(limits: Limits) -> CheckReport:
                 all(d <= g.m for d in degs), f"all <= {g.m}", degs,
                 proved=False,
             )
-    return rec.finish()
+    return rec
 
 
 def family_grid() -> list[FamilySpec]:
@@ -301,32 +283,8 @@ def _family_pool(limits: Limits) -> list[FamilySpec]:
     return pool
 
 
-def _contested_degree_variants(spec: FamilySpec) -> dict[str, tuple[int, ...]]:
-    if spec.kind == "path":
-        return path_degree_variants(spec.params[0])
-    if spec.kind == "book" and spec.params[0] == 1:
-        return {"formula": (2, 2, 1, 1)}
-    if spec.kind == "grotzsch":
-        from .families import GROTZSCH_REMARK_DEGREES
-
-        return {"remark": GROTZSCH_REMARK_DEGREES}
-    return {}
-
-
-def _contested_index_variants(spec: FamilySpec) -> dict[str, int]:
-    if spec.kind == "path":
-        return path_index_variants(spec.params[0])
-    if spec.kind == "book" and spec.params[0] == 1:
-        return {"formula": 2 * (1 + 2)}
-    if spec.kind == "grotzsch":
-        from .families import GROTZSCH_REMARK_INDEX
-
-        return {"remark": GROTZSCH_REMARK_INDEX}
-    return {}
-
-
 def _suite_families(limits: Limits) -> CheckReport:
-    rec = _Rec("families")
+    rec = CheckReport("families")
     resolved = {}
     for spec in _family_pool(limits):
         name = format_family(spec)
@@ -351,23 +309,19 @@ def _suite_families(limits: Limits) -> CheckReport:
                 "family-contested-oracle", name,
                 degs == oracle, oracle, degs,
             )
-            variants = _contested_degree_variants(spec)
-            matched = [k for k, pat in variants.items() if tuple(degs) == pat]
-            resolved.setdefault(name, {})["dd"] = matched[0] if matched else None
+            variants, ivariants = contested_variants(spec)
+            _, dd_name = _matching(variants, tuple(degs))
+            _, di_name = _matching(ivariants, di)
+            resolved[name] = {"dd": dd_name, "di": di_name}
             rec.record(
                 "family-degree-contested", name,
                 False, variants, tuple(degs),
-                witness={"matched_variant": matched[0] if matched else None},
-                proved=False,
+                witness={"matched_variant": dd_name}, proved=False,
             )
-            ivariants = _contested_index_variants(spec)
-            imatched = [k for k, val in ivariants.items() if di == val]
-            resolved[name]["di"] = imatched[0] if imatched else None
             rec.record(
                 "family-index-contested", name,
                 False, ivariants, di,
-                witness={"matched_variant": imatched[0] if imatched else None},
-                proved=False,
+                witness={"matched_variant": di_name}, proved=False,
             )
         if spec.kind in ("cycle", "kragujevac", "petersen", "herschel", "grotzsch"):
             rec.record(
@@ -385,15 +339,13 @@ def _suite_families(limits: Limits) -> CheckReport:
                 f"leaf degrees in [{lo},{g.n - 1}]", degs,
             )
     rec.details["contested_resolutions"] = resolved
-    return rec.finish()
+    return rec
 
 
 def _suite_paths_resolution(limits: Limits) -> CheckReport:
-    rec = _Rec("paths-resolution")
+    rec = CheckReport("paths-resolution")
     top = limits.max_n if limits.max_n is not None else 15
-    seen: dict[int, dict[str, set]] = {0: {"dd": set(), "di": set()},
-                                       1: {"dd": set(), "di": set()},
-                                       2: {"dd": set(), "di": set()}}
+    seen: dict[int, dict[str, set]] = {t: {"dd": set(), "di": set()} for t in range(3)}
     rows = []
     for n in range(3, top + 1):
         spec = FamilySpec("path", (n,))
@@ -404,29 +356,26 @@ def _suite_paths_resolution(limits: Limits) -> CheckReport:
         rec.record("path-oracle-agreement", name, degs == oracle, oracle, degs)
         di = sum(degs)
         dvars = path_degree_variants(n)
-        dmatch = [k for k, pat in dvars.items() if tuple(degs) == pat]
+        dmatch, dd_name = _matching(dvars, tuple(degs))
         rec.record(
             "path-degree-variant-unique", name,
             len(dmatch) == 1, dvars, tuple(degs),
             witness={"matched": dmatch},
         )
         ivars = path_index_variants(n)
-        imatch = [k for k, val in ivars.items() if di == val]
+        imatch, di_name = _matching(ivars, di)
         rec.record(
             "path-index-variant-unique", name,
             len(imatch) == 1, ivars, di,
             witness={"matched": imatch},
         )
-        k, t = divmod(n, 3)
+        t = n % 3
         if t == 1:
-            rec.record(
-                "path-index-uncontested", name,
-                di == (3 * k + 1) * (k + 1), (3 * k + 1) * (k + 1), di,
-            )
-        seen[t]["dd"].add(dmatch[0] if dmatch else None)
-        seen[t]["di"].add(imatch[0] if imatch else None)
-        rows.append({"n": n, "dd_variant": dmatch[0] if dmatch else None,
-                     "di_variant": imatch[0] if imatch else None})
+            want = ivars["statement"]
+            rec.record("path-index-uncontested", name, di == want, want, di)
+        seen[t]["dd"].add(dd_name)
+        seen[t]["di"].add(di_name)
+        rows.append({"n": n, "dd_variant": dd_name, "di_variant": di_name})
     table = {}
     for t, per_kind in seen.items():
         for key, names in per_kind.items():
@@ -439,7 +388,7 @@ def _suite_paths_resolution(limits: Limits) -> CheckReport:
             table.setdefault(str(t), {})[key] = sorted(map(str, names))[0] if len(names) == 1 else None
     rec.details["resolved_by_residue"] = table
     rec.details["resolved_rows"] = rows
-    return rec.finish()
+    return rec
 
 
 def _op_pool() -> list[tuple[str, Graph]]:
@@ -457,7 +406,7 @@ def _op_pool() -> list[tuple[str, Graph]]:
 
 
 def _suite_operations(limits: Limits) -> CheckReport:
-    rec = _Rec("operations")
+    rec = CheckReport("operations")
     pool = _op_pool()
     base = {name: dd_vector(g) for name, g in pool}
     for na, ga in pool:
@@ -495,14 +444,12 @@ def _suite_operations(limits: Limits) -> CheckReport:
                 "composition-degree-formula", f"composition({na},K{m})",
                 pgot == pwant, pwant, pgot,
             )
-    return rec.finish()
+    return rec
 
 
 def _suite_monotonicity(limits: Limits) -> CheckReport:
-    rec = _Rec("monotonicity")
+    rec = CheckReport("monotonicity")
     top = limits.max_n if limits.max_n is not None else 6
-    counts = {"edge-deletion-degree-monotone": [0, 0, None],
-              "edge-deletion-index-monotone": [0, 0, None]}
     for n in range(1, top + 1):
         for g in enumerate_labeled_graphs(n, connected_only=True):
             base = dd_vector(g)
@@ -518,26 +465,22 @@ def _suite_monotonicity(limits: Limits) -> CheckReport:
                 )
                 for claim, ok, want, got in checks:
                     rec.record(claim, inst, ok, want, got, proved=False)
-                    row = counts[claim]
-                    row[0] += 1
-                    if not ok:
-                        row[1] += 1
-                        if row[2] is None:
-                            row[2] = inst
-    rec.details["empirical_verdicts"] = {
-        claim: {
-            "instances": row[0],
-            "violations": row[1],
-            "holds": row[1] == 0,
-            "first_counterexample": row[2],
+    claims = ("edge-deletion-degree-monotone", "edge-deletion-index-monotone")
+    verdicts = {}
+    for claim in claims:
+        violations = [d.instance for d in rec.discrepancies if d.claim == claim]
+        verdicts[claim] = {
+            "instances": rec.instances // len(claims),  # every deletion checks each claim
+            "violations": len(violations),
+            "holds": not violations,
+            "first_counterexample": violations[0] if violations else None,
         }
-        for claim, row in counts.items()
-    }
-    return rec.finish()
+    rec.details["empirical_verdicts"] = verdicts
+    return rec
 
 
 def _suite_products_ordering(limits: Limits) -> CheckReport:
-    rec = _Rec("products-ordering")
+    rec = CheckReport("products-ordering")
     pool = _op_pool()
     for na, ga in pool:
         for nb, gb in pool:
@@ -553,7 +496,7 @@ def _suite_products_ordering(limits: Limits) -> CheckReport:
                 "product-index-ordering", inst, ok,
                 "composition <= strong <= min(cartesian, direct)", di, proved=False,
             )
-    return rec.finish()
+    return rec
 
 
 _SUITES = {
@@ -566,6 +509,7 @@ _SUITES = {
     "products-ordering": _suite_products_ordering,
     "named-graphs": _suite_named_graphs,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def write_ledger(report: CheckReport, path: str) -> None:

@@ -89,9 +89,17 @@ def test_word_width_boundary_identical(compiled):
                     assert _pykern.solve_dd(closed, v, k_lo, n) == compiled.solve_dd(
                         closed, v, k_lo, n
                     ), (n, closed is path, v, k_lo)
-    for n in (0, 65):
+    with pytest.raises(ValueError):
+        compiled.solve_dd([1 << i for i in range(65)], -1, 0, 65)
+    for kern in (_pykern, compiled):
         with pytest.raises(ValueError):
-            compiled.solve_dd([1 << i for i in range(n)], -1, 0, n)
+            kern.solve_dd([], -1, 0, 0)
+        for n in (0, 27):
+            closed = [1 << i for i in range(n)]
+            with pytest.raises(ValueError):
+                kern.scan_minimal_ds(closed)
+            with pytest.raises(ValueError):
+                kern.scan_irredundance(closed)
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")

@@ -227,6 +227,8 @@ GOLDEN_STDOUT = {
         "c48dd763921dc3756ec897110e6aa69d06bea3e1917289979e8ae6b9eede8ec0",
     "op union --in F9 --in F9":
         "b685e2ba6cad897e6126e2c2f51db67f701d188ddaa740a428bc5b8fea731b2b",
+    "op corona --in F9 --in F9":
+        "ba379d98a7f064e31059396ca5062e69377c4839743bb414c2420112c7481b29",
 }
 
 
@@ -252,6 +254,7 @@ def test_golden_stdout(case):
         ["analyze", "--in", F9, "--format", "dot"],
         ["generate", "cycle:5", "--format", "json"],
         ["generate", "cycle:5", "--max-exact", "3"],
+        ["op", "union", "--in", F9, "--in", F9, "--max-exact", "30"],
     ],
 )
 def test_unsupported_option_is_usage_error(argv):

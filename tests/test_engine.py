@@ -23,9 +23,10 @@ from domindex import (
     private_neighborhood,
     upper_domination_number,
 )
+from domindex import engine
 from domindex.engine import _dd_with_bound
 from domindex.errors import ExactCapExceeded, NotDominating, VertexNotInSet, VertexOutOfRange
-from domindex.verify import random_graph
+from domindex.verify import enumerate_labeled_graphs, random_graph
 
 
 def complete(n):
@@ -220,6 +221,19 @@ def test_minimalize_f9(f9_by_label):
     v = g.id_of("a2")
     out = minimalize_containing(g, all_vertices(g), v)
     assert v in out and is_minimal_dominating(g, out)
+
+
+def test_minimalize_runs_no_search(monkeypatch):
+    # the construction alone settles every case: no kernel is ever asked
+    def refuse(n):
+        raise AssertionError("minimalize_containing reached a kernel search")
+
+    monkeypatch.setattr(engine, "kernels_for", refuse)
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            for v in range(n):
+                out = minimalize_containing(g, all_vertices(g), v)
+                assert v in out and is_minimal_dominating(g, out)
 
 
 def test_minimalize_errors():

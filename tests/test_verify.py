@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -88,3 +89,73 @@ def test_report_serialization(tmp_path):
     assert all(not row["proved"] for row in rows)
     without_suite = [{k: v for k, v in row.items() if k != "suite"} for row in rows]
     assert without_suite == payload["discrepancies"]
+
+
+# sha256 of (report_to_json without its runtime_seconds line, report_to_text
+# without its runtime: line, the write_ledger file) per suite at
+# Limits(max_n=5, quick=True). Any change here changes a suite's output.
+GOLDEN_SUITES = {
+    "definitional": (
+        "c11e35ab9867c347b6d053dd019c677b9f707044d17cd2b51593ac573d64aca6",
+        "bcf9f6e3aaa1c350095f3874cac69f5aefd74c42018d53aace38741e73c83a7b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "inequalities": (
+        "c3593de456f25a87d61ce4a449c60e934b17b053a0921c80eacdb03c341fd0e6",
+        "7699e3d371510196e9d4633432c9343d688d04a6b7f951a5526afdf20f1daf7e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "families": (
+        "d3d89b2033d66c6194a621163f939158ebd4045ea00e189bc0c5f6954ee09a28",
+        "d805513192fae27741df156e9b451da2534f1ffc6b6b2c69d9ad64d63206578d",
+        "257c083fafed61920fd24446958f3d43a79b67fc40d993d7eb8ed988a466f0e3",
+    ),
+    "paths-resolution": (
+        "a4e8fd958c37faca19ecdffa7488010ffc3711343c8326ab78efd3086bc19a81",
+        "57ad218cc668adaeced6dc61860a658b491a31f35d5841811e2b45f1d35c96a9",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "operations": (
+        "9928f3b1fffd7b720f8a348c97271b93cf4b805a3dea7795b6e35ac1a208d8b6",
+        "4e45e33ef8b45445dd7ac32a16d1b9f850e66e30660c4dbd02bdeec550610c29",
+        "5833d1dea33855f40fc8cd84396773e18401dfd9a7be30997ca5100fe77a3b41",
+    ),
+    "monotonicity": (
+        "00d0e2f76680920fc3f46adddfc37db2d82e281b342211e8b0ee0cd2de4a4666",
+        "b6d355a26e57614d76c12c2c58616e2213e3f40f880bd73e33bf8fc38f0837cb",
+        "6bc8596c86da25ba939ce990f0f13dceddb7d14d27fd11cda4d91fc41f1a29e9",
+    ),
+    "products-ordering": (
+        "7e96223da34e16c7e9f4daa073b07eab84fb5ea2d418c68e0d629a6c0c162834",
+        "32c1adb8808bb8c0ad76fc17cacfaba4cc0473680800e4cc8592d1d41f629c98",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "named-graphs": (
+        "a0c4cf9dbd34accead34cc0d81f27c9c59d605397d393410f269f60fc43bac37",
+        "eef5ada6db4d7976f532cb464ab56468663b4746fad46ce0a6dd034d672f28df",
+        "6d02004600075201f83326390f1ed3d2edc0e37e3c920b2a0b947b9c5f65ab28",
+    ),
+}
+
+
+def _without_lines(text: str, prefix: str) -> bytes:
+    return "".join(
+        line for line in text.splitlines(True) if not line.startswith(prefix)
+    ).encode()
+
+
+def test_golden_suites_cover_every_suite():
+    assert sorted(GOLDEN_SUITES) == sorted(SUITE_NAMES)
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN_SUITES))
+def test_golden_suite_output(suite, tmp_path):
+    report = run_suite(suite, Limits(max_n=5, quick=True))
+    ledger = tmp_path / "ledger.jsonl"
+    write_ledger(report, str(ledger))
+    got = (
+        _without_lines(report_to_json(report), '  "runtime_seconds": '),
+        _without_lines(report_to_text(report), "runtime: "),
+        ledger.read_bytes(),
+    )
+    assert tuple(hashlib.sha256(b).hexdigest() for b in got) == GOLDEN_SUITES[suite]
