@@ -266,7 +266,7 @@ scan_irredundance(PyObject *Py_UNUSED(self), PyObject *closed)
     int n = read_closed(closed, cl, MAXSCAN, "subset scan");
     if (n < 0)
         return NULL;
-    u64 *cover = cover_table(cl, n);
+    u64 *cover = cover_table(cl, n), full = (1ULL << n) - 1;
     if (cover == NULL)
         return NULL;
     size_t size = (size_t)1 << n;
@@ -276,15 +276,21 @@ scan_irredundance(PyObject *Py_UNUSED(self), PyObject *closed)
         PyErr_NoMemory();
         goto done;
     }
-    int lo = n + 1, best_ir = 0;
+    int lo = n + 1, upper_gamma = 0, upper_ir = 0;
     irr[0] = 1;
     for (size_t m = 1; m < size; m++) {
         if ((m & POLL) == 0 && PyErr_CheckSignals() < 0)
             goto done;
         /* a subset of an irredundant set is irredundant */
         irr[m] = irr[m & (m - 1)] && irredundant(cl, cover, m);
-        if (irr[m] && POPCOUNT(m) > best_ir)
-            best_ir = POPCOUNT(m);
+        if (!irr[m])
+            continue;
+        int c = POPCOUNT(m);
+        if (c > upper_ir)
+            upper_ir = c;
+        /* a dominating irredundant set is a minimal dominating set */
+        if (c > upper_gamma && cover[m] == full)
+            upper_gamma = c;
     }
     /* ir: the smallest irredundant set that no added vertex keeps irredundant */
     for (size_t m = 0; m < size; m++) {
@@ -298,7 +304,7 @@ scan_irredundance(PyObject *Py_UNUSED(self), PyObject *closed)
         if (x == n)
             lo = POPCOUNT(m);
     }
-    out = Py_BuildValue("(ii)", lo, best_ir);
+    out = Py_BuildValue("(iii)", lo, upper_gamma, upper_ir);
 done:
     free(cover);
     free(irr);
@@ -311,7 +317,7 @@ static PyMethodDef methods[] = {
     {"scan_minimal_ds", scan_minimal_ds, METH_O,
      "scan_minimal_ds(closed) -> minimal dominating sets sorted by (size, mask)"},
     {"scan_irredundance", scan_irredundance, METH_O,
-     "scan_irredundance(closed) -> (ir, IR)"},
+     "scan_irredundance(closed) -> (ir, upper gamma, IR)"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -22,10 +22,19 @@ solve_dd(closed, v, k_lo, k_hi)
 scan_minimal_ds(closed)
     Every minimal dominating set, found by a full scan of all 2^n
     subsets, returned as masks sorted by (cardinality, mask value).
+    Only set enumeration needs it: the list is its output.
 
 scan_irredundance(closed)
-    (ir, IR): minimum cardinality of a maximal irredundant set and
-    maximum cardinality of an irredundant set, by full subset scan.
+    (ir, Γ, IR), by one full subset scan: the minimum cardinality of a
+    maximal irredundant set, the maximum cardinality of an irredundant
+    dominating set (a minimal dominating set is exactly a dominating
+    irredundant one) and the maximum cardinality of an irredundant set.
+
+In this twin both scans read one table: for every subset m, whether it
+is irredundant and, if so, the vertices it dominates. Irredundance is
+hereditary, so the table is built by extending irredundant sets by a
+higher vertex: a set whose subset without its highest member is
+redundant is never visited.
 
 Every function raises ValueError for a graph with no vertices, and the
 scans also for one over 26 vertices. Only ``solve_dd`` of this twin
@@ -35,6 +44,7 @@ takes graphs over 64 vertices.
 from __future__ import annotations
 
 from array import array
+from itertools import compress
 
 BACKEND_NAME = "python"
 _MAX_SCAN = 26  # as in the compiled twin: a cover table has 2^n words
@@ -104,73 +114,58 @@ def _scan_order(closed):
     return n
 
 
-def _cover_table(closed, n):
+def _irredundance_table(closed, n):
+    """(cover, irr) over all 2^n subsets m: irr[m] is 1 when m is
+    irredundant, and then cover[m] is the set m dominates (0 otherwise)."""
     size = 1 << n
     cover = array("Q", bytes(8 * size))
-    for m in range(1, size):
-        low = m & -m
-        cover[m] = cover[m ^ low] | closed[low.bit_length() - 1]
-    return cover
+    irr = bytearray(size)
+    irr[0] = 1
+    for k in range(n):
+        bit = 1 << k
+        ck = closed[k]
+        # m = m0 + {k} can be irredundant only when m0 is, so only
+        # irredundant sets below k are extended
+        for m0 in compress(range(bit), irr[:bit]):
+            if ck & ~cover[m0] == 0:
+                continue  # k would have no private vertex
+            m = m0 | bit
+            rest = m0
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                s = m ^ low  # decided already: below m, and it contains k
+                if not irr[s] or closed[low.bit_length() - 1] & ~cover[s] == 0:
+                    break
+            else:
+                irr[m] = 1
+                cover[m] = cover[m0] | ck
+    return cover, irr
 
 
 def scan_minimal_ds(closed):
     n = _scan_order(closed)
     full = (1 << n) - 1
-    cover = _cover_table(closed, n)
-    out = []
-    for m in range(1 << n):
-        if cover[m] != full:
-            continue
-        rest = m
-        minimal = True
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if closed[low.bit_length() - 1] & ~cover[m ^ low] == 0:
-                minimal = False
-                break
-        if minimal:
-            out.append(m)
+    cover, irr = _irredundance_table(closed, n)
+    out = [m for m in compress(range(1 << n), irr) if cover[m] == full]
     out.sort(key=lambda m: (m.bit_count(), m))
     return out
 
 
 def scan_irredundance(closed):
     n = _scan_order(closed)
-    size = 1 << n
-    cover = _cover_table(closed, n)
-    irr = bytearray(size)
-    irr[0] = 1
-    best_ir = 0
-    for m in range(1, size):
-        rest = m
-        ok = True
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if closed[low.bit_length() - 1] & ~cover[m ^ low] == 0:
-                ok = False
-                break
-        if ok:
-            irr[m] = 1
-            c = m.bit_count()
-            if c > best_ir:
-                best_ir = c
+    full = (1 << n) - 1
+    cover, irr = _irredundance_table(closed, n)
+    bits = [1 << x for x in range(n)]
     lo = n + 1
-    for m in range(size):
-        if not irr[m]:
-            continue
+    upper_gamma = upper_ir = 0
+    for m in compress(range(1 << n), irr):
         c = m.bit_count()
-        if c >= lo:
-            continue
-        maximal = True
-        for x in range(n):
-            bit = 1 << x
-            if m & bit:
-                continue
-            if irr[m | bit]:
-                maximal = False
-                break
-        if maximal:
+        if c > upper_ir:
+            upper_ir = c
+        if c > upper_gamma and cover[m] == full:
+            upper_gamma = c
+        # ir: the smallest irredundant set that no added vertex keeps irredundant
+        if c < lo and not any(irr[m | b] for b in bits if not m & b):
             lo = c
-    return lo, best_ir
+    return lo, upper_gamma, upper_ir

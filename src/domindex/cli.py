@@ -7,13 +7,16 @@ compose through pipes::
     domindex generate cycle:6 | domindex analyze
 
 Exit codes: 0 success, 1 usage error, 2 proved-claim violation from
-``verify``, 3 input parse error, 4 exact cap exceeded.
+``verify``, 3 input parse error, 4 exact cap exceeded. When the reader
+of stdout has closed the pipe, stdout is pointed at ``os.devnull``, no
+traceback is printed and the exit code is 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import engine, formats, verify
@@ -215,8 +218,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
+        return code
+    try:
         sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; devnull takes the interpreter's final flush
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return USAGE_ERROR
     return code
 
 

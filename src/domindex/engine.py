@@ -3,11 +3,12 @@
 Everything here is exact: predicates are direct formula evaluations,
 the per-vertex domination degree comes from a staged branch-and-bound
 search (smallest cardinality first, so the first hit is a minimum), and
-the scan-based quantities (upper domination number, irredundance
-numbers, set enumeration) walk all vertex subsets. The staged search is
-independently cross-checkable against :func:`dd_vector_oracle`, a plain
-full-subset-scan implementation of the definition that shares no code
-with the search kernels.
+the scan-based quantities walk all vertex subsets. One irredundance
+scan gives the upper domination number and both irredundance numbers;
+only set enumeration scans for the minimal dominating sets themselves.
+The staged search is independently cross-checkable against
+:func:`dd_vector_oracle`, a plain full-subset-scan implementation of
+the definition that shares no code with the search kernels.
 
 Terminology: a set is *dominating* when the closed neighborhoods of its
 members cover the vertex set, and *minimal dominating* when it is
@@ -36,8 +37,8 @@ from .errors import (
 )
 from .graph import Graph, VertexSet, bits_of, mask_of, max_degree
 
-DEFAULT_EXACT_CAP = 24   # staged searches, profiles, set enumeration
-DEFAULT_SCAN_CAP = 20    # full subset scans: irredundance numbers, oracle
+DEFAULT_EXACT_CAP = 24   # staged searches, profiles, Γ/ir/IR, set enumeration
+DEFAULT_SCAN_CAP = 20    # the oracle's subset scan
 _SCAN_HARD_CAP = 26      # subset-scan tables top out at 2^26 words
 
 
@@ -108,19 +109,22 @@ def domination_number(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> int:
     return hit[0]
 
 
-def upper_domination_number(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> int:
-    """Maximum cardinality of a minimal dominating set."""
-    _require_vertices(g)
-    _check_cap(g.n, min(cap, _SCAN_HARD_CAP), "minimal dominating set scan")
-    masks = kernels_for(g.n).scan_minimal_ds(list(g.closed_adj))
-    return max(m.bit_count() for m in masks)
-
-
-def irredundance_numbers(g: Graph, cap: int = DEFAULT_SCAN_CAP) -> tuple[int, int]:
-    """(ir, IR): extreme cardinalities of maximal irredundant / irredundant sets."""
+def _irredundance_scan(g: Graph, cap: int) -> tuple[int, int, int]:
+    """(ir, Γ, IR) from one subset scan."""
     _require_vertices(g)
     _check_cap(g.n, min(cap, _SCAN_HARD_CAP), "irredundance scan")
     return kernels_for(g.n).scan_irredundance(list(g.closed_adj))
+
+
+def upper_domination_number(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> int:
+    """Maximum cardinality of a minimal dominating set."""
+    return _irredundance_scan(g, cap)[1]
+
+
+def irredundance_numbers(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> tuple[int, int]:
+    """(ir, IR): extreme cardinalities of maximal irredundant / irredundant sets."""
+    ir, _, upper_ir = _irredundance_scan(g, cap)
+    return ir, upper_ir
 
 
 def _require_vertices(g: Graph) -> None:
@@ -187,37 +191,29 @@ def domination_degrees(
 
 @dataclass(frozen=True)
 class DominationProfile:
-    """All domination quantities of one graph.
-
-    ``ir`` and ``upper_ir`` are None when the graph exceeds the subset
-    scan cap they would require.
-    """
+    """All domination quantities of one graph."""
 
     degrees: tuple[int, ...]
     witnesses: tuple[VertexSet, ...]
     gamma: int
     upper_gamma: int
-    ir: int | None
-    upper_ir: int | None
+    ir: int
+    upper_ir: int
     min_dd: int
     max_dd: int
     index: int
     is_drg: bool
 
 
-def domination_profile(
-    g: Graph,
-    cap: int = DEFAULT_EXACT_CAP,
-    ir_cap: int = DEFAULT_SCAN_CAP,
-) -> DominationProfile:
-    """Compute every profile field; self-checks the textbook inequalities."""
+def domination_profile(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> DominationProfile:
+    """Compute every profile field; self-checks the textbook inequalities.
+
+    Γ, ir and IR come from one subset scan.
+    """
     _require_vertices(g)
     _check_cap(g.n, min(cap, _SCAN_HARD_CAP), "domination profile")
     gamma, degrees, witnesses = domination_degrees(g, cap)
-    upper = upper_domination_number(g, cap)
-    ir = upper_ir = None
-    if g.n <= ir_cap:
-        ir, upper_ir = irredundance_numbers(g, ir_cap)
+    ir, upper, upper_ir = _irredundance_scan(g, cap)
     index = sum(degrees)
     profile = DominationProfile(
         degrees=tuple(degrees),
@@ -240,7 +236,7 @@ def _check_profile(g: Graph, p: DominationProfile) -> None:
         raise InternalInvariantViolation("degree outside [gamma, upper gamma]")
     if not g.n * p.gamma <= p.index <= g.n * p.upper_gamma:
         raise InternalInvariantViolation("index outside [n*gamma, n*upper gamma]")
-    if p.ir is not None and not (p.ir <= p.gamma <= p.upper_gamma <= p.upper_ir):
+    if not p.ir <= p.gamma <= p.upper_gamma <= p.upper_ir:
         raise InternalInvariantViolation("irredundance chain violated")
     for v, w in enumerate(p.witnesses):
         if v not in w or not is_minimal_dominating(g, w):
@@ -269,10 +265,7 @@ def mds_containing_greedy(g: Graph, v: int) -> VertexSet:
     """
     _require_vertices(g)
     g.check_vertex(v)
-    hit = kernels_for(g.n).solve_dd(list(g.closed_adj), v, g.n, g.n)
-    if hit is None:
-        raise InternalInvariantViolation(f"no minimal dominating set contains vertex {v}")
-    return VertexSet(g.n, hit[1])
+    return VertexSet(g.n, _dd_with_bound(g, v, g.n)[1])
 
 
 def minimalize_containing(g: Graph, d: VertexSet, v: int) -> VertexSet:

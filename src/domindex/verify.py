@@ -23,14 +23,13 @@ from typing import Iterator
 
 from .engine import (
     DEFAULT_EXACT_CAP,
+    _irredundance_scan,
     dd_vector_oracle,
     domination_degrees,
     domination_number,
     domination_profile,
     enumerate_minimal_dominating_sets,
-    irredundance_numbers,
     is_dominating,
-    upper_domination_number,
 )
 from .errors import EnumerationCapExceeded, UnknownSuite
 from .families import (
@@ -187,7 +186,9 @@ def _suite_definitional(limits: Limits) -> CheckReport:
     for g in _all_graphs(top):
         inst = describe(g)
         gamma = domination_number(g)
-        upper = upper_domination_number(g)
+        # one scan per graph: Γ and the complement check read the same list
+        minimal_sets = list(enumerate_minimal_dominating_sets(g))
+        upper = len(minimal_sets[-1])  # sorted by cardinality
         degs = dd_vector(g, gamma=gamma)
         rec.record(
             "degree-between-gamma-and-upper", inst,
@@ -203,7 +204,7 @@ def _suite_definitional(limits: Limits) -> CheckReport:
         )
         if all(g.open_adj[v] for v in range(g.n)):
             bad = None
-            for s in enumerate_minimal_dominating_sets(g):
+            for s in minimal_sets:
                 comp = VertexSet(g.n, g.full_mask & ~s.bits)
                 if not is_dominating(g, comp):
                     bad = sorted(s.members())
@@ -221,10 +222,9 @@ def _suite_inequalities(limits: Limits) -> CheckReport:
     for g in _all_graphs(top):
         inst = describe(g)
         gamma = domination_number(g)
-        upper = upper_domination_number(g)
+        ir, upper, upper_ir = _irredundance_scan(g, DEFAULT_EXACT_CAP)
         degs = dd_vector(g, gamma=gamma)
         di = sum(degs)
-        ir, upper_ir = irredundance_numbers(g)
         chain_ok = (
             ir <= gamma
             and g.n * gamma <= di <= g.n * upper

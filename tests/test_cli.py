@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -266,3 +269,20 @@ def test_unsupported_option_is_usage_error(argv):
             code = exc.code
     assert code == 1
     assert out.getvalue() == ""
+
+
+def test_closed_stdout_pipe_exits_cleanly():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child starts
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "domindex", "generate", "cycle:50"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in child.stderr.decode()
+    assert child.returncode == 1

@@ -1,21 +1,26 @@
 """Independent cross-checks between the scan kernels, the predicates and
 naive in-test reimplementations."""
 
+from collections import Counter
 from itertools import combinations
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domindex import (
     domination_profile,
+    engine,
     enumerate_minimal_dominating_sets,
     irredundance_numbers,
     is_minimal_dominating,
     random_graph,
     run_suite,
+    upper_domination_number,
 )
+from domindex.backend import kernels_for
 from domindex.engine import is_irredundant
-from domindex.verify import Limits, write_ledger
+from domindex.verify import Limits, enumerate_labeled_graphs, write_ledger
 
 
 @given(st.integers(0, 150))
@@ -23,6 +28,8 @@ from domindex.verify import Limits, write_ledger
 def test_enumeration_matches_predicate_scan(i):
     g = random_graph(n=(i % 7) + 1, p=(0.25, 0.5, 0.75)[i % 3], seed=3000 + i)
     enumerated = {s.bits for s in enumerate_minimal_dominating_sets(g)}
+    # Γ comes from the irredundance scan, the sets from the other scan
+    assert upper_domination_number(g) == max(m.bit_count() for m in enumerated)
     by_predicate = set()
     for r in range(g.n + 1):
         for ids in combinations(range(g.n), r):
@@ -57,12 +64,33 @@ def test_irredundance_numbers_match_naive(i):
     assert irredundance_numbers(g) == _naive_ir(g)
 
 
-def test_profile_ir_cap_gives_none():
-    g = random_graph(6, 0.5, 1)
-    prof = domination_profile(g, ir_cap=3)
-    assert prof.ir is None and prof.upper_ir is None
-    full = domination_profile(g)
-    assert full.ir is not None
+def test_upper_gamma_matches_enumeration_exhaustive():
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            largest = max(len(s) for s in enumerate_minimal_dominating_sets(g))
+            assert upper_domination_number(g) == largest, g.edges()
+
+
+def test_profile_runs_one_subset_scan(monkeypatch):
+    calls = Counter()
+
+    def counting(n):
+        kern = kernels_for(n)
+
+        def wrap(name):
+            def call(*args):
+                calls[name] += 1
+                return getattr(kern, name)(*args)
+            return call
+
+        names = ("solve_dd", "scan_minimal_ds", "scan_irredundance")
+        return SimpleNamespace(**{name: wrap(name) for name in names})
+
+    monkeypatch.setattr(engine, "kernels_for", counting)
+    g = random_graph(9, 0.4, 7)
+    domination_profile(g)
+    # one γ search and one search per vertex, then the one scan
+    assert calls == {"solve_dd": g.n + 1, "scan_irredundance": 1}
 
 
 def test_families_full_grid_and_ledger(tmp_path):

@@ -120,7 +120,7 @@ def test_caps():
     with pytest.raises(ExactCapExceeded):
         domination_number(big)
     with pytest.raises(ExactCapExceeded):
-        irredundance_numbers(new_graph(21, []))
+        irredundance_numbers(big)
     assert domination_number(big, cap=25) == 25
 
 
