@@ -60,7 +60,10 @@ typedef struct {
 } Search;
 
 /* The size of the first hit that extends chosen[0..depth) (chosen[] then
-   holds it), 0 when there is none, -1 when a signal handler raised. */
+   holds it), 0 when there is none, -1 when a signal handler raised.
+   Candidates ascend by id, so a branch may add only vertices above
+   `last`; the packing and budget bounds count only those, and prune only
+   branches that cannot reach a hit, so the first hit is unchanged. */
 static int
 dfs(Search *s, int depth, int last, u64 cover)
 {
@@ -72,24 +75,50 @@ dfs(Search *s, int depth, int last, u64 cover)
     if (slots <= 0)
         return 0;
 
-    /* budget bound over all n vertices: the best `slots` gains must reach `need` */
+    /* later: the vertices this branch may still add; v's bit is harmless,
+       as N[v] is covered and so dominates no uncovered vertex */
     u64 unc = s->full & ~cover;
-    int need = POPCOUNT(unc), hist[MAXN + 1], top = 0;
-    for (int c = 0; c <= s->n; c++)  /* a gain is at most |unc| <= n */
-        hist[c] = 0;
-    for (int x = 0; x < s->n; x++) {
-        int c = POPCOUNT(s->closed[x] & unc);
-        hist[c]++;
-        if (c > top)
-            top = c;
+    int next = last + 1;
+    u64 later = next < s->n ? s->full >> next << next : 0;
+
+    int need = POPCOUNT(unc);
+    if (need <= slots) {
+        /* neither bound can count past `slots`: only an uncovered vertex
+           with no later dominator prunes */
+        for (u64 rest = unc; rest != 0; rest &= rest - 1)
+            if ((s->closed[CTZ(rest)] & later) == 0)
+                return 0;
+    } else {
+        /* packing bound: uncovered vertices that share no later
+           dominator each need an added vertex of their own */
+        int packed = 0;
+        for (u64 rest = unc; rest != 0;) {
+            u64 doms = s->closed[CTZ(rest)] & later;
+            if (doms == 0 || ++packed > slots)
+                return 0;
+            for (; doms != 0; doms &= doms - 1)
+                rest &= ~s->closed[CTZ(doms)];
+        }
+
+        /* budget bound over later candidates: the best `slots` gains
+           must reach `need` */
+        int hist[MAXN + 1], top = 0;
+        for (int c = 0; c <= s->n; c++)  /* a gain is at most |unc| <= n */
+            hist[c] = 0;
+        for (int x = next; x < s->n; x++) {
+            int c = POPCOUNT(s->closed[x] & unc);
+            hist[c]++;
+            if (c > top)
+                top = c;
+        }
+        for (int c = top; c > 0 && need > 0 && slots > 0; c--) {
+            int take = hist[c] < slots ? hist[c] : slots;
+            need -= take * c;
+            slots -= take;
+        }
+        if (need > 0)
+            return 0;
     }
-    for (int c = top; c > 0 && need > 0 && slots > 0; c--) {
-        int take = hist[c] < slots ? hist[c] : slots;
-        need -= take * c;
-        slots -= take;
-    }
-    if (need > 0)
-        return 0;
 
     const u64 *privs = s->priv[depth];
     u64 *kept = s->priv[depth + 1];

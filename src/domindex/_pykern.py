@@ -14,10 +14,26 @@ solve_dd(closed, v, k_lo, k_hi)
     Stages run k = max(k_lo, |base|) .. k_hi; within a stage the search
     is a depth-first extension of the base set, candidates in ascending
     id (combination order), pruning any partial set that stops being
-    irredundant and any branch whose remaining budget cannot cover the
-    uncovered vertices. Returns (size, member_mask) of the first hit,
-    which is therefore the lexicographically least witness of minimum
-    size, or None when no stage succeeds.
+    irredundant. A branch may add only candidates above the last one it
+    added, and two lower bounds on the vertices it must still add count
+    only those later candidates. With a budget of k minus the set's
+    size, a branch is pruned when
+      - packing: walking the uncovered vertices lowest first and taking
+        each one that shares no later dominator with one already taken
+        (the 2-packing bound ρ ≤ γ) takes more vertices than the budget,
+        as each needs a dominator of its own; a vertex with no later
+        dominator prunes at once;
+      - budget: the largest gains (uncovered vertices dominated) of as
+        many later candidates as the budget add up to less than the
+        uncovered count.
+    Neither count can exceed the budget unless more vertices are
+    uncovered than the budget, so otherwise only the test for a vertex
+    with no later dominator runs.
+    Neither bound prunes a branch that reaches a hit, and candidate
+    order is fixed, so the bounds change the search's cost, not its
+    result. Returns (size, member_mask) of the first hit, which is
+    therefore the lexicographically least witness of minimum size, or
+    None when no stage succeeds.
 
 scan_minimal_ds(closed)
     Every minimal dominating set, found by a full scan of all 2^n
@@ -77,16 +93,46 @@ def _stage(closed, n, full, v, k):
         if slots <= 0:
             return None
         unc = full & ~cover
+        # later: the vertices this branch may still add, from id nxt up.
+        # v among them is harmless: N[v] is covered, so v dominates no
+        # uncovered vertex
+        nxt = cands[start] if start < ncands else n
+        later = full >> nxt << nxt
         need = unc.bit_count()
-        # budget bound over all n vertices: the best `slots` gains must reach `need`
-        caps = [(c & unc).bit_count() for c in closed]
-        if slots == 1:
-            if max(caps) < need:
-                return None
+        rest = unc
+        if need <= slots:
+            # neither bound can count past `slots`: only an uncovered vertex
+            # with no later dominator prunes
+            while rest:
+                low = rest & -rest
+                if not closed[low.bit_length() - 1] & later:
+                    return None
+                rest ^= low
         else:
-            caps.sort(reverse=True)
-            if sum(caps[:slots]) < need:
-                return None
+            # packing bound: uncovered vertices that share no later
+            # dominator each need an added vertex of their own
+            packed = 0
+            while rest:
+                doms = closed[(rest & -rest).bit_length() - 1] & later
+                if not doms:
+                    return None
+                packed += 1
+                if packed > slots:
+                    return None
+                while doms:
+                    low = doms & -doms
+                    rest &= ~closed[low.bit_length() - 1]
+                    doms ^= low
+            # budget bound over later candidates: the best `slots` gains
+            # must reach `need`
+            caps = [(c & unc).bit_count() for c in closed[nxt:]]
+            if slots == 1:
+                if max(caps) < need:
+                    return None
+            else:
+                caps.sort(reverse=True)
+                if sum(caps[:slots]) < need:
+                    return None
         for i in range(start, ncands):
             x = cands[i]
             cx = closed[x]

@@ -15,8 +15,9 @@ import time
 
 import pytest
 
-from domindex import _pykern
+from domindex import FamilySpec, _pykern, generate
 from domindex.backend import backend_name, kernels_for
+from domindex.ops import disjoint_union, product
 from domindex.verify import enumerate_labeled_graphs, random_graph
 
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "domindex" / "_kernels.c"
@@ -39,10 +40,17 @@ def compiled(tmp_path_factory):
     return module
 
 
+SCAN_MAX = 13  # the subset scans run on the corpus graphs up to this order
+
+
 def corpus():
     graphs = [random_graph(n, p, seed=n * 10 + int(p * 10)) for n in (1, 2, 5, 9, 13)
               for p in (0.2, 0.5, 0.8)]
     graphs += list(enumerate_labeled_graphs(4))
+    # sparse graphs, where the packing bound prunes most of the search
+    graphs += [random_graph(n, p, seed=n * 100 + int(p * 100)) for n in (16, 18, 20, 22, 24)
+               for p in (0.1, 0.15)]
+    graphs += [generate(FamilySpec("cycle", (30,))).graph, generate(FamilySpec("path", (31,))).graph]
     return graphs
 
 
@@ -59,7 +67,7 @@ def test_solve_dd_identical_results_and_witnesses(compiled):
 def test_scans_identical(compiled):
     for g in corpus():
         closed = list(g.closed_adj)
-        if not closed:
+        if not closed or len(closed) > SCAN_MAX:
             continue
         assert _pykern.scan_minimal_ds(closed) == compiled.scan_minimal_ds(closed)
         assert _pykern.scan_irredundance(closed) == compiled.scan_irredundance(closed)
@@ -68,27 +76,28 @@ def test_scans_identical(compiled):
 def test_greedy_mode_identical(compiled):
     for g in corpus():
         closed = list(g.closed_adj)
-        for v in range(g.n):
+        for v in [-1] + list(range(g.n)):
             assert _pykern.solve_dd(closed, v, g.n, g.n) == compiled.solve_dd(
                 closed, v, g.n, g.n
-            )
+            ), (g.edges(), v)
 
 
 def test_word_width_boundary_identical(compiled):
     # At n = 64 the full mask is every bit of the word: 1 << 64 is not it.
-    # Every v runs the one-stage (greedy) mode; the staged search from the
-    # bottom runs on the path for v = -1 only, because with v fixed its
-    # failing stages take minutes.
+    # Every v runs both the staged search from the bottom and the
+    # one-stage (greedy) mode.
+    paths = {}
     for n in (63, 64):
         isolated = [1 << i for i in range(n)]
-        path = [(0b111 << i >> 1) & ((1 << n) - 1) for i in range(n)]
+        paths[n] = path = [(0b111 << i >> 1) & ((1 << n) - 1) for i in range(n)]
         for closed in (isolated, path):
             for v in [-1] + list(range(n)):
-                lo = 1 if v >= 0 else 0
-                for k_lo in (lo, n) if closed is isolated or v < 0 else (n,):
+                for k_lo in (1 if v >= 0 else 0, n):
                     assert _pykern.solve_dd(closed, v, k_lo, n) == compiled.solve_dd(
                         closed, v, k_lo, n
                     ), (n, closed is path, v, k_lo)
+    # v = 2: stages 1-21 all fail before dd(2) = 22; only the bounds keep that short
+    assert _pykern.solve_dd(paths[63], 2, 1, 63) == compiled.solve_dd(paths[63], 2, 1, 63)
     with pytest.raises(ValueError):
         compiled.solve_dd([1 << i for i in range(65)], -1, 0, 65)
     for kern in (_pykern, compiled):
@@ -110,15 +119,18 @@ def test_signal_interrupts_compiled_search(compiled):
     def handler(signum, frame):
         raise Interrupted
 
-    # Stage 10 on this graph fails after an exhaustive search of about 45 s
-    # (2-vCPU VM, gcc -O2); the handler must run long before it ends.
-    closed = list(random_graph(64, 0.1, 1).closed_adj)
+    # 22 disjoint edges and the rook's graph K4 x K4: gamma = 22 + 4. Stage
+    # 25 tries each of the 2^22 ways to dominate the edges and then fails on
+    # the rook's graph, an exhaustive search of 23-29 s (2-vCPU VM,
+    # gcc -O2); the handler must run long before it ends.
+    k2, k4 = (generate(FamilySpec("complete", (m,))).graph for m in (2, 4))
+    closed = list(disjoint_union([k2] * 22 + [product(k4, k4, "cartesian")]).closed_adj)
     old = signal.signal(signal.SIGALRM, handler)
     try:
         signal.setitimer(signal.ITIMER_REAL, 0.2)
         t0 = time.perf_counter()
         with pytest.raises(Interrupted):
-            compiled.solve_dd(closed, -1, 10, 10)
+            compiled.solve_dd(closed, -1, 25, 25)
         assert time.perf_counter() - t0 < 2
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)

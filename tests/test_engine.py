@@ -285,27 +285,29 @@ def test_staged_equals_oracle_random(i):
 
 
 def test_witness_is_lex_least_minimum_set_containing_v():
-    # Every vertex of seeded random graphs, n 1-11, sparse enough to have
+    # Every vertex of seeded random graphs, n 1-14, sparse enough to have
     # isolated vertices and several components: the witness must equal the
     # search started at gamma, and the lex-least (sorted id tuple) of the
     # minimum-size minimal dominating sets containing v found by brute force.
+    # The sparse graphs on 12-14 vertices are where the packing bound prunes.
+    cases = [(n, j, p) for n in range(1, 12) for j, p in enumerate((0.0, 0.1, 0.2, 0.35, 0.6))]
+    cases += [(n, j, p) for n in (12, 13, 14) for j, p in enumerate((0.1, 0.15))]
     isolated = disconnected = 0
-    for n in range(1, 12):
-        for j, p in enumerate((0.0, 0.1, 0.2, 0.35, 0.6)):
-            g = random_graph(n, p, seed=100 * n + j)
-            isolated += any(g.open_adj[v] == 0 for v in range(g.n))
-            disconnected += not is_connected(g)
-            gamma = domination_number(g)
-            sets = [s.members() for s in enumerate_minimal_dominating_sets(g)]
-            shared = domination_degrees(g)
-            assert shared[0] == gamma
-            for v in range(n):
-                size, w = domination_degree_witness(g, v)
-                assert (size, w.bits) == _dd_with_bound(g, v, gamma)
-                containing = [s for s in sets if v in s]
-                least = min(len(s) for s in containing)
-                assert w.members() == min(s for s in containing if len(s) == least)
-                assert (shared[1][v], shared[2][v]) == (size, w)
+    for n, j, p in cases:
+        g = random_graph(n, p, seed=100 * n + j)
+        isolated += any(g.open_adj[v] == 0 for v in range(g.n))
+        disconnected += not is_connected(g)
+        gamma = domination_number(g)
+        sets = [s.members() for s in enumerate_minimal_dominating_sets(g)]
+        shared = domination_degrees(g)
+        assert shared[0] == gamma
+        for v in range(n):
+            size, w = domination_degree_witness(g, v)
+            assert (size, w.bits) == _dd_with_bound(g, v, gamma)
+            containing = [s for s in sets if v in s]
+            least = min(len(s) for s in containing)
+            assert w.members() == min(s for s in containing if len(s) == least)
+            assert (shared[1][v], shared[2][v]) == (size, w)
     assert isolated >= 10 and disconnected >= 10
 
 
