@@ -72,13 +72,13 @@ def main():
         rows.append((label, times))
 
     width = max(len(r[0]) for r in rows)
-    header = f"{'workload':<{width}}  " + "  ".join(f"{n:>10}" for n in names)
+    header = f"{'workload':<{width}}  " + "  ".join(f"{n:>12}" for n in names)
     if len(names) == 2:
         header += f"  {'speedup':>8}"
     print(header)
     print("-" * len(header))
     for label, times in rows:
-        line = f"{label:<{width}}  " + "  ".join(f"{times[n] * 1e3:9.1f}ms" for n in names)
+        line = f"{label:<{width}}  " + "  ".join(f"{times[n] * 1e3:10.3f}ms" for n in names)
         if len(names) == 2:
             line += f"  {times['python'] / times['compiled']:7.1f}x"
         print(line)

@@ -9,8 +9,13 @@ returns a :class:`CheckReport`. Claims come in two classes:
   shaky or self-contradictory, so disagreements are recorded as ledger
   entries instead of failures, together with every published variant.
 
-Exhaustive suites walk all labeled graphs up to a small order; that is
-feasible because the per-graph work is a handful of subset scans.
+The ``definitional`` and ``inequalities`` suites check isomorphism
+invariants only, so they visit one graph per isomorphism class up to a
+small order and count each check once per labeled graph in the class
+(its weight n!/|Aut(G)|); a failed check records one discrepancy for the
+class representative. ``monotonicity`` walks all labeled graphs, one
+discrepancy per labeled instance. The per-graph work is a handful of
+subset scans.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import permutations, product as cartesian
+from math import factorial
 from typing import Iterator
 
 from .engine import (
@@ -44,7 +51,16 @@ from .families import (
     predicted_index,
     UNRESOLVED,
 )
-from .graph import Graph, VertexSet, delete_edge, is_connected, max_degree, new_graph, wiener_index
+from .graph import (
+    Graph,
+    VertexSet,
+    bits_of,
+    delete_edge,
+    is_connected,
+    max_degree,
+    new_graph,
+    wiener_index,
+)
 from .ops import (
     composition_complete_predicted,
     corona,
@@ -75,10 +91,12 @@ class CheckReport:
     runtime_seconds: float = 0.0
     details: dict = field(default_factory=dict)
 
-    def record(self, claim, instance, ok, expected, computed, witness=None, proved=True):
-        self.instances += 1
+    def record(self, claim, instance, ok, expected, computed, witness=None, proved=True, weight=1):
+        """Count one check as ``weight`` instances (the labeled graphs a
+        class representative stands for); a failure is one discrepancy."""
+        self.instances += weight
         if ok:
-            self.passes += 1
+            self.passes += weight
         else:
             self.discrepancies.append(
                 Discrepancy(claim, instance, expected, computed, witness, proved)
@@ -153,9 +171,72 @@ def run_suite(suite: str, limits: Limits | None = None) -> CheckReport:
     return report
 
 
-def _all_graphs(top: int) -> Iterator[Graph]:
+_CLASS_CAP = 8  # the 12,346 classes on 8 vertices take about 30 s to generate
+
+
+def _canonical(adj: list[int]) -> tuple[int, int]:
+    """The largest upper-triangle adjacency code over the vertex orderings
+    that respect the refined colour cells, and |Aut|: the number of those
+    orderings that reach it.
+
+    Colours start from degrees and are refined by neighbour-colour
+    multisets until no cell splits. The cells and their order depend on
+    the graph alone, so isomorphic graphs get the same code.
+    """
+    n = len(adj)
+    nbrs = [tuple(bits_of(a)) for a in adj]
+    colour = [len(nb) for nb in nbrs]
+    cells = len(set(colour))
+    while True:
+        sig = [(colour[v], tuple(sorted(colour[u] for u in nbrs[v]))) for v in range(n)]
+        keys = sorted(set(sig))
+        if len(keys) == cells:
+            break
+        rank = {key: i for i, key in enumerate(keys)}
+        colour = [rank[key] for key in sig]
+        cells = len(keys)
+    groups = [[v for v in range(n) if colour[v] == c] for c in sorted(set(colour))]
+    best, aut = -1, 0
+    for parts in cartesian(*(permutations(g) for g in groups)):
+        order = [v for part in parts for v in part]
+        code = 0
+        for i, u in enumerate(order):
+            row = adj[u]
+            for w in order[i + 1:]:
+                code = code << 1 | row >> w & 1
+        if code > best:
+            best, aut = code, 1
+        elif code == best:
+            aut += 1
+    return best, aut
+
+
+def _graph_classes(top: int) -> Iterator[tuple[Graph, int]]:
+    """One graph per isomorphism class on 1..top vertices (top <= 8), with
+    its weight n!/|Aut(G)|: the number of labeled graphs in its class.
+
+    Layer n extends each class of layer n-1 by a new vertex in all
+    2^(n-1) ways and keeps the first graph seen per canonical code. That
+    covers every class, since deleting a vertex of a graph on n vertices
+    leaves one on n-1.
+    """
+    if top > _CLASS_CAP:
+        raise EnumerationCapExceeded(
+            f"isomorphism-class enumeration capped at {_CLASS_CAP} vertices, got {top}"
+        )
+    layer: list[list[int]] = [[]]
     for n in range(1, top + 1):
-        yield from enumerate_labeled_graphs(n)
+        seen: dict[int, tuple[list[int], int]] = {}
+        new = 1 << (n - 1)
+        for adj in layer:
+            for mask in range(new):
+                ext = [a | new if mask >> v & 1 else a for v, a in enumerate(adj)] + [mask]
+                code, aut = _canonical(ext)
+                seen.setdefault(code, (ext, aut))
+        layer = [ext for ext, _ in seen.values()]
+        for ext, aut in seen.values():
+            edges = [(u, w) for u in range(n) for w in bits_of(ext[u]) if u < w]
+            yield new_graph(n, edges), factorial(n) // aut
 
 
 def _suite_named_graphs(limits: Limits) -> CheckReport:
@@ -183,7 +264,7 @@ def _suite_named_graphs(limits: Limits) -> CheckReport:
 def _suite_definitional(limits: Limits) -> CheckReport:
     rec = CheckReport("definitional")
     top = limits.max_n if limits.max_n is not None else 6
-    for g in _all_graphs(top):
+    for g, w in _graph_classes(top):
         inst = describe(g)
         gamma = domination_number(g)
         # one scan per graph: Γ and the complement check read the same list
@@ -193,14 +274,14 @@ def _suite_definitional(limits: Limits) -> CheckReport:
         rec.record(
             "degree-between-gamma-and-upper", inst,
             all(gamma <= d <= upper for d in degs),
-            f"values in [{gamma},{upper}]", degs,
+            f"values in [{gamma},{upper}]", degs, weight=w,
         )
         delta = max_degree(g)
         lo = -(-g.n // (1 + delta))
         rec.record(
             "gamma-degree-bounds", inst,
             lo <= gamma <= g.n - delta,
-            f"gamma in [{lo},{g.n - delta}]", gamma,
+            f"gamma in [{lo},{g.n - delta}]", gamma, weight=w,
         )
         if all(g.open_adj[v] for v in range(g.n)):
             bad = None
@@ -211,7 +292,7 @@ def _suite_definitional(limits: Limits) -> CheckReport:
                     break
             rec.record(
                 "complement-of-minimal-ds-dominates", inst,
-                bad is None, "complement dominates for every minimal ds", bad,
+                bad is None, "complement dominates for every minimal ds", bad, weight=w,
             )
     return rec
 
@@ -219,7 +300,7 @@ def _suite_definitional(limits: Limits) -> CheckReport:
 def _suite_inequalities(limits: Limits) -> CheckReport:
     rec = CheckReport("inequalities")
     top = limits.max_n if limits.max_n is not None else 6
-    for g in _all_graphs(top):
+    for g, w in _graph_classes(top):
         inst = describe(g)
         gamma = domination_number(g)
         ir, upper, upper_ir = _irredundance_scan(g, DEFAULT_EXACT_CAP)
@@ -232,22 +313,22 @@ def _suite_inequalities(limits: Limits) -> CheckReport:
         )
         rec.record(
             "chain-ir-gamma-index-upper", inst, chain_ok,
-            f"{ir} <= {gamma} <= DI/n <= {upper} <= {upper_ir}", di,
+            f"{ir} <= {gamma} <= DI/n <= {upper} <= {upper_ir}", di, weight=w,
         )
         if g.n > 1 and is_connected(g):
             wi = wiener_index(g)
             rec.record(
                 "degree-at-most-wiener", inst,
-                all(d <= wi for d in degs), f"all <= {wi}", degs,
+                all(d <= wi for d in degs), f"all <= {wi}", degs, weight=w,
             )
             rec.record(
                 "index-at-most-n-wiener", inst,
-                di <= g.n * wi, f"<= {g.n * wi}", di,
+                di <= g.n * wi, f"<= {g.n * wi}", di, weight=w,
             )
             rec.record(
                 "degree-at-most-edge-count", inst,
                 all(d <= g.m for d in degs), f"all <= {g.m}", degs,
-                proved=False,
+                proved=False, weight=w,
             )
     return rec
 

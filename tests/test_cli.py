@@ -126,6 +126,9 @@ def test_exit_codes():
     assert code == 1  # bad family parameters
     code, _, err = run(["analyze", "--max-exact", "4"], stdin="a b\nb c\nc d\nd e\n")
     assert code == 4  # cap exceeded
+    for suite in ("inequalities", "definitional"):
+        code, out, _ = run(["verify", "--suite", suite, "--limit", "9"])
+        assert code == 4 and out == ""  # class enumeration capped at 8, refused up front
     code, _, err = run(["op", "union", "--in", F9])
     assert code == 1  # op needs two inputs
     with pytest.raises(SystemExit) as exc:

@@ -1,12 +1,21 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
-from domindex import enumerate_labeled_graphs, random_graph, run_suite
+from domindex import domination_profile, enumerate_labeled_graphs, random_graph, run_suite
 from domindex.errors import EnumerationCapExceeded, UnknownSuite
 from domindex.graph import is_connected
-from domindex.verify import Limits, SUITE_NAMES, report_to_json, report_to_text, write_ledger
+from domindex.verify import (
+    CheckReport,
+    Limits,
+    SUITE_NAMES,
+    _graph_classes,
+    report_to_json,
+    report_to_text,
+    write_ledger,
+)
 
 
 def test_random_graph_bounds_and_determinism():
@@ -29,6 +38,43 @@ def test_enumeration_counts():
     assert sum(1 for _ in enumerate_labeled_graphs(4, connected_only=True)) == 38
     with pytest.raises(EnumerationCapExceeded):
         next(enumerate_labeled_graphs(8))
+
+
+def test_graph_classes_match_oeis_a000088():
+    classes = Counter()
+    weights = Counter()
+    for g, w in _graph_classes(7):
+        classes[g.n] += 1
+        weights[g.n] += w
+    assert [classes[n] for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+    assert all(weights[n] == 2 ** (n * (n - 1) // 2) for n in range(1, 8))
+    with pytest.raises(EnumerationCapExceeded):
+        next(_graph_classes(9))
+
+
+def _invariants(g):
+    p = domination_profile(g)
+    degree_sequence = sorted(a.bit_count() for a in g.open_adj)
+    return (g.n, g.m, tuple(degree_sequence), p.gamma, p.upper_gamma, p.ir, p.upper_ir,
+            tuple(sorted(p.degrees)))
+
+
+def test_weighted_classes_match_labeled_histogram():
+    # no canonical form on this side: every labeled graph counts once
+    labeled = Counter(_invariants(g) for n in range(1, 6) for g in enumerate_labeled_graphs(n))
+    weighted = Counter()
+    for g, w in _graph_classes(5):
+        weighted[_invariants(g)] += w
+    assert weighted == labeled
+
+
+def test_record_weight():
+    rec = CheckReport("weighted")
+    rec.record("claim", "a", True, 1, 1, weight=6)
+    rec.record("claim", "b", False, 1, 2, weight=4)
+    rec.record("claim", "c", True, 1, 1)
+    assert (rec.instances, rec.passes) == (11, 7)
+    assert [(d.instance, d.expected, d.computed) for d in rec.discrepancies] == [("b", 1, 2)]
 
 
 def test_unknown_suite():
