@@ -6,8 +6,9 @@ Run from the repository root::
 
 Workloads mirror what the verification suites spend their time on:
 staged degree searches, minimal-dominating-set scans and irredundance
-scans. Both backends produce identical outputs (asserted here), so the
-only difference is speed.
+scans, the scans also on two sparse graphs with n = 22. Both backends
+produce identical outputs (asserted here), so the only difference is
+speed.
 """
 
 import argparse
@@ -29,6 +30,8 @@ def workloads():
     r16 = _closed(16, 0.25, 7)
     r18 = _closed(18, 0.3, 11)
     r20 = _closed(20, 0.25, 13)
+    c22 = list(generate(FamilySpec("cycle", (22,))).graph.closed_adj)
+    g22 = _closed(22, 0.1, 17)
 
     def degrees(kern, closed):
         n = len(closed)
@@ -42,6 +45,8 @@ def workloads():
         ("minimal-ds scan, random n=18", lambda k: k.scan_minimal_ds(r18)),
         ("irredundance scan, random n=18", lambda k: k.scan_irredundance(r18)),
         ("minimal-ds scan, random n=20", lambda k: k.scan_minimal_ds(r20)),
+        ("irredundance scan, cycle:22", lambda k: k.scan_irredundance(c22)),
+        ("minimal-ds scan, G(22, 0.1)", lambda k: k.scan_minimal_ds(g22)),
     ]
 
 

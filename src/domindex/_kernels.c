@@ -3,7 +3,7 @@
    Twin of _pykern (see its docstring for the kernel contract): same
    candidate order, same pruning, same results and witnesses. Restricted
    to graphs with at most 64 vertices, so every mask fits one machine
-   word. Long searches and scans poll for signals, so Ctrl-C stops them.
+   word. Long searches and walks poll for signals, so Ctrl-C stops them.
 
    Build with `python setup.py build_ext --inplace`. */
 
@@ -14,8 +14,8 @@
 typedef unsigned long long u64;
 
 #define MAXN 64      /* vertices in one machine word */
-#define MAXSCAN 26   /* 2^n subset scans: 8 * 2^26 bytes of cover table */
-#define POLL 0xFFFF  /* poll for signals every 2^16 search nodes or subsets */
+#define MAXSCAN 26   /* walks of irredundant sets: exponential in n */
+#define POLL 0xFFFF  /* poll for signals every 2^16 search or walk nodes */
 
 #define POPCOUNT(x) __builtin_popcountll(x)
 #define CTZ(x) __builtin_ctzll(x)
@@ -212,132 +212,198 @@ solve_dd(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     Py_RETURN_NONE;
 }
 
-/* cover[m]: the vertices dominated by subset m, for all 2^n subsets. */
-static u64 *
-cover_table(const u64 *cl, int n)
+/* A walk of irredundant sets (see the kernel contract in _pykern): a
+   set is extended only by vertices above its highest member that keep
+   every member's private territory nonempty. priv[d] holds, for a set
+   of d members, each member's private territory; each depth has its own
+   row, as in Search. reach[x] is what closed[x..n) dominate together. */
+typedef struct {
+    int n, lo, upper_gamma, upper_ir;
+    u64 full, nodes;
+    u64 closed[MAXSCAN], reach[MAXSCAN + 1];
+    u64 priv[MAXSCAN + 1][MAXSCAN];
+    u64 *found;            /* scan_minimal_ds: the sets found so far */
+    size_t count, room;
+} Walk;
+
+static int
+walk_init(Walk *w, PyObject *closed)
 {
-    size_t size = (size_t)1 << n;
-    u64 *cover = malloc(size * sizeof(u64));
-    if (cover == NULL) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    cover[0] = 0;
-    for (size_t m = 1; m < size; m++)
-        cover[m] = cover[m & (m - 1)] | cl[CTZ(m)];
-    return cover;
+    w->n = read_closed(closed, w->closed, MAXSCAN, "subset scan");
+    if (w->n < 0)
+        return -1;
+    w->full = (1ULL << w->n) - 1;
+    w->nodes = 0;
+    w->reach[w->n] = 0;
+    for (int x = w->n - 1; x >= 0; x--)
+        w->reach[x] = w->reach[x + 1] | w->closed[x];
+    w->lo = w->n + 1;
+    w->upper_gamma = w->upper_ir = 0;
+    w->found = NULL;
+    w->count = w->room = 0;
+    return 0;
 }
 
-/* Every member of m dominates a vertex that the rest of m does not. */
+/* Whether adding a vertex with closed neighbourhood cx to the set of
+   `depth` members with private territories privs[] leaves it
+   irredundant; the new member's territory is cx & unc. */
 static inline int
-irredundant(const u64 *cl, const u64 *cover, u64 m)
+extends(const u64 *privs, int depth, u64 cx, u64 unc)
 {
-    for (u64 rest = m; rest; rest &= rest - 1) {
-        u64 low = rest & (0 - rest);
-        if ((cl[CTZ(low)] & ~cover[m ^ low]) == 0)
+    if ((cx & unc) == 0)
+        return 0;
+    for (int j = 0; j < depth; j++)
+        if ((privs[j] & ~cx) == 0)
             return 0;
-    }
     return 1;
+}
+
+/* Row depth + 1 of w->priv for the set plus x. */
+static inline void
+keep(Walk *w, int depth, int x, u64 unc)
+{
+    const u64 *privs = w->priv[depth];
+    u64 *kept = w->priv[depth + 1], cx = w->closed[x];
+    for (int j = 0; j < depth; j++)
+        kept[j] = privs[j] & ~cx;
+    kept[depth] = cx & unc;
+}
+
+/* -1 when a signal handler raised; polls every 2^16 nodes. */
+static inline int
+walk_poll(Walk *w)
+{
+    return (++w->nodes & POLL) == 0 ? PyErr_CheckSignals() : 0;
+}
+
+/* 0, or -1 with an exception set. */
+static int
+mds_walk(Walk *w, int depth, int start, u64 cover, u64 mask)
+{
+    if (walk_poll(w) < 0)
+        return -1;
+    if (cover == w->full) {  /* not extended: no added vertex has a private vertex */
+        if (w->count == w->room) {
+            w->room = w->room ? 2 * w->room : 1024;
+            u64 *grown = realloc(w->found, w->room * sizeof(u64));
+            if (grown == NULL) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            w->found = grown;
+        }
+        w->found[w->count++] = mask;
+        return 0;
+    }
+    u64 unc = w->full & ~cover;
+    if (unc & ~w->reach[start])
+        return 0;  /* no later vertex dominates some uncovered vertex */
+    for (int x = start; x < w->n; x++) {
+        if (!extends(w->priv[depth], depth, w->closed[x], unc))
+            continue;
+        keep(w, depth, x, unc);
+        if (mds_walk(w, depth + 1, x + 1, cover | w->closed[x], mask | 1ULL << x) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* by (cardinality, mask) */
+static int
+by_size(const void *a, const void *b)
+{
+    u64 x = *(const u64 *)a, y = *(const u64 *)b;
+    int cx = POPCOUNT(x), cy = POPCOUNT(y);
+    if (cx != cy)
+        return cx < cy ? -1 : 1;
+    return x < y ? -1 : x > y;
 }
 
 static PyObject *
 scan_minimal_ds(PyObject *Py_UNUSED(self), PyObject *closed)
 {
-    u64 cl[MAXSCAN];
-    int n = read_closed(closed, cl, MAXSCAN, "subset scan");
-    if (n < 0)
+    Walk w;
+    if (walk_init(&w, closed) < 0)
         return NULL;
-    u64 *cover = cover_table(cl, n), *found = NULL, full = (1ULL << n) - 1;
-    if (cover == NULL)
-        return NULL;
-    size_t size = (size_t)1 << n, count = 0, room = 0;
-    Py_ssize_t at[MAXSCAN + 2] = {0};
     PyObject *out = NULL;
-    for (size_t m = 0; m < size; m++) {
-        if ((m & POLL) == 0 && PyErr_CheckSignals() < 0)
-            goto done;
-        if (cover[m] != full || !irredundant(cl, cover, m))
-            continue;
-        if (count == room) {
-            room = room ? 2 * room : 1024;
-            u64 *grown = realloc(found, room * sizeof(u64));
-            if (grown == NULL) {
-                PyErr_NoMemory();
-                goto done;
-            }
-            found = grown;
-        }
-        found[count++] = m;
-        at[POPCOUNT(m) + 1]++;
-    }
-    /* sort by (cardinality, mask): found[] is ascending, so a stable
-       counting sort by cardinality suffices */
-    for (int c = 1; c <= n; c++)
-        at[c] += at[c - 1];
-    out = PyList_New((Py_ssize_t)count);
-    for (size_t i = 0; out != NULL && i < count; i++) {
-        PyObject *mask = PyLong_FromUnsignedLongLong(found[i]);
+    if (mds_walk(&w, 0, 0, 0, 0) < 0)
+        goto done;
+    if (w.count > 1)
+        qsort(w.found, w.count, sizeof(u64), by_size);
+    out = PyList_New((Py_ssize_t)w.count);
+    for (size_t i = 0; out != NULL && i < w.count; i++) {
+        PyObject *mask = PyLong_FromUnsignedLongLong(w.found[i]);
         if (mask == NULL)
             Py_CLEAR(out);
         else
-            PyList_SET_ITEM(out, at[POPCOUNT(found[i])]++, mask);
+            PyList_SET_ITEM(out, (Py_ssize_t)i, mask);
     }
 done:
-    free(cover);
-    free(found);
+    free(w.found);
     return out;
+}
+
+/* 0, or -1 with an exception set. Tracks ir (w->lo), Γ and IR, and
+   stops branches that can improve none of them, as in _pykern. */
+static int
+irr_walk(Walk *w, int depth, int start, u64 cover)
+{
+    if (walk_poll(w) < 0)
+        return -1;
+    int c = depth;
+    if (c > w->upper_ir)
+        w->upper_ir = c;
+    if (cover == w->full) {
+        /* minimal dominating, and maximal irredundant */
+        if (c > w->upper_gamma)
+            w->upper_gamma = c;
+        if (c < w->lo)
+            w->lo = c;
+        return 0;
+    }
+    u64 unc = w->full & ~cover;
+    if (c >= w->lo) {
+        /* not ir, and members added below take disjoint private
+           territories from the uncovered vertices that later ones reach */
+        u64 r = unc & w->reach[start];
+        int room = c + POPCOUNT(r);
+        if (room <= w->upper_ir && (r != unc || room <= w->upper_gamma))
+            return 0;
+    }
+    const u64 *privs = w->priv[depth];
+    int kids[MAXSCAN], nkids = 0;
+    for (int x = start; x < w->n; x++)
+        if (extends(privs, depth, w->closed[x], unc))
+            kids[nkids++] = x;
+    if (nkids == 0 && c < w->lo) {
+        /* maximal unless a lower vertex keeps the set irredundant */
+        int x = 0;
+        while (x < start && !extends(privs, depth, w->closed[x], unc))
+            x++;
+        if (x == start)
+            w->lo = c;
+    }
+    /* a descendant of the child by kids[i] adds only kids[i..), so it has
+       at most `room` members, and it dominates only if they reach unc */
+    for (int i = 0; i < nkids; i++) {
+        int x = kids[i], room = c + nkids - i;
+        if (c + 1 >= w->lo && room <= w->upper_ir
+            && (room <= w->upper_gamma || (unc & ~w->reach[x]) != 0))
+            break;
+        keep(w, depth, x, unc);
+        if (irr_walk(w, depth + 1, x + 1, cover | w->closed[x]) < 0)
+            return -1;
+    }
+    return 0;
 }
 
 static PyObject *
 scan_irredundance(PyObject *Py_UNUSED(self), PyObject *closed)
 {
-    u64 cl[MAXSCAN];
-    int n = read_closed(closed, cl, MAXSCAN, "subset scan");
-    if (n < 0)
+    Walk w;
+    if (walk_init(&w, closed) < 0 || irr_walk(&w, 0, 0, 0) < 0)
         return NULL;
-    u64 *cover = cover_table(cl, n), full = (1ULL << n) - 1;
-    if (cover == NULL)
-        return NULL;
-    size_t size = (size_t)1 << n;
-    unsigned char *irr = malloc(size);
-    PyObject *out = NULL;
-    if (irr == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    int lo = n + 1, upper_gamma = 0, upper_ir = 0;
-    irr[0] = 1;
-    for (size_t m = 1; m < size; m++) {
-        if ((m & POLL) == 0 && PyErr_CheckSignals() < 0)
-            goto done;
-        /* a subset of an irredundant set is irredundant */
-        irr[m] = irr[m & (m - 1)] && irredundant(cl, cover, m);
-        if (!irr[m])
-            continue;
-        int c = POPCOUNT(m);
-        if (c > upper_ir)
-            upper_ir = c;
-        /* a dominating irredundant set is a minimal dominating set */
-        if (c > upper_gamma && cover[m] == full)
-            upper_gamma = c;
-    }
-    /* ir: the smallest irredundant set that no added vertex keeps irredundant */
-    for (size_t m = 0; m < size; m++) {
-        if ((m & POLL) == 0 && PyErr_CheckSignals() < 0)
-            goto done;
-        if (!irr[m] || POPCOUNT(m) >= lo)
-            continue;
-        int x = 0;
-        while (x < n && ((m >> x & 1) || !irr[m | (size_t)1 << x]))
-            x++;
-        if (x == n)
-            lo = POPCOUNT(m);
-    }
-    out = Py_BuildValue("(iii)", lo, upper_gamma, upper_ir);
-done:
-    free(cover);
-    free(irr);
-    return out;
+    return Py_BuildValue("(iii)", w.lo, w.upper_gamma, w.upper_ir);
 }
 
 static PyMethodDef methods[] = {

@@ -36,21 +36,43 @@ solve_dd(closed, v, k_lo, k_hi)
     None when no stage succeeds.
 
 scan_minimal_ds(closed)
-    Every minimal dominating set, found by a full scan of all 2^n
-    subsets, returned as masks sorted by (cardinality, mask value).
-    Only set enumeration needs it: the list is its output.
+    Every minimal dominating set, found by a walk of irredundant sets,
+    returned as masks sorted by (cardinality, mask value). Only set
+    enumeration needs it: the list is its output.
 
 scan_irredundance(closed)
-    (ir, Γ, IR), by one full subset scan: the minimum cardinality of a
-    maximal irredundant set, the maximum cardinality of an irredundant
-    dominating set (a minimal dominating set is exactly a dominating
-    irredundant one) and the maximum cardinality of an irredundant set.
+    (ir, Γ, IR), by one walk of irredundant sets: the minimum cardinality
+    of a maximal irredundant set, the maximum cardinality of an
+    irredundant dominating set (a minimal dominating set is exactly a
+    dominating irredundant one) and the maximum cardinality of an
+    irredundant set.
 
-In this twin both scans read one table: for every subset m, whether it
-is irredundant and, if so, the vertices it dominates. Irredundance is
-hereditary, so the table is built by extending irredundant sets by a
-higher vertex: a set whose subset without its highest member is
-redundant is never visited.
+Both walks visit irredundant sets depth first, each at most once: a set
+is extended only by a vertex above its highest member, and only when
+every member, the new one included, keeps a private vertex (as in the
+stages of ``solve_dd``, without their bounds). Irredundance is
+hereditary, so the walk reaches every irredundant set that no bound cuts
+off. No vertex added to a dominating set has a private vertex, so a
+dominating set is never extended.
+
+``scan_minimal_ds`` records each dominating set it reaches. It skips a
+branch in which some uncovered vertex has no dominator among the later
+vertices: that branch holds no dominating set.
+
+``scan_irredundance`` tracks ir, Γ and IR as it walks and skips a branch
+that can improve none of them:
+  - ir: none of the branch's sets is smaller than the smallest maximal
+    irredundant set found so far;
+  - IR and Γ: the members added below a set take disjoint, nonempty
+    private territories from the vertices it leaves uncovered. So the
+    branch's sets add at most as many members as there are uncovered
+    vertices that later vertices dominate, and at most as many as there
+    are later vertices that extend the set; and they dominate only when
+    the later vertices dominate every uncovered vertex.
+A set that a higher vertex extends is not maximal, so maximality is
+tested only on the other sets, against the lower vertices, and only when
+the set is smaller than the best ir so far. Memory is O(n^2) words plus
+the output.
 
 Every function raises ValueError for a graph with no vertices, and the
 scans also for one over 26 vertices. Only ``solve_dd`` of this twin
@@ -59,11 +81,8 @@ takes graphs over 64 vertices.
 
 from __future__ import annotations
 
-from array import array
-from itertools import compress
-
 BACKEND_NAME = "python"
-_MAX_SCAN = 26  # as in the compiled twin: a cover table has 2^n words
+_MAX_SCAN = 26  # as in the compiled twin: a walk of irredundant sets is exponential in n
 
 
 def solve_dd(closed, v, k_lo, k_hi):
@@ -160,40 +179,38 @@ def _scan_order(closed):
     return n
 
 
-def _irredundance_table(closed, n):
-    """(cover, irr) over all 2^n subsets m: irr[m] is 1 when m is
-    irredundant, and then cover[m] is the set m dominates (0 otherwise)."""
-    size = 1 << n
-    cover = array("Q", bytes(8 * size))
-    irr = bytearray(size)
-    irr[0] = 1
-    for k in range(n):
-        bit = 1 << k
-        ck = closed[k]
-        # m = m0 + {k} can be irredundant only when m0 is, so only
-        # irredundant sets below k are extended
-        for m0 in compress(range(bit), irr[:bit]):
-            if ck & ~cover[m0] == 0:
-                continue  # k would have no private vertex
-            m = m0 | bit
-            rest = m0
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                s = m ^ low  # decided already: below m, and it contains k
-                if not irr[s] or closed[low.bit_length() - 1] & ~cover[s] == 0:
-                    break
-            else:
-                irr[m] = 1
-                cover[m] = cover[m0] | ck
-    return cover, irr
+def _reach(closed, n):
+    """reach[s]: the vertices that closed[s:] dominate together."""
+    reach = [0] * (n + 1)
+    for x in range(n - 1, -1, -1):
+        reach[x] = reach[x + 1] | closed[x]
+    return reach
 
 
 def scan_minimal_ds(closed):
     n = _scan_order(closed)
     full = (1 << n) - 1
-    cover, irr = _irredundance_table(closed, n)
-    out = [m for m in compress(range(1 << n), irr) if cover[m] == full]
+    reach = _reach(closed, n)
+    out = []
+
+    def rec(start, cover, mask, privs):
+        if cover == full:
+            out.append(mask)  # not extended: no added vertex has a private vertex
+            return
+        if full & ~(cover | reach[start]):
+            return  # no later vertex dominates some uncovered vertex
+        for x in range(start, n):
+            cx = closed[x]
+            gain = cx & ~cover
+            if not gain:
+                continue
+            kept = [p & ~cx for p in privs]
+            if 0 in kept:
+                continue
+            kept.append(gain)
+            rec(x + 1, cover | cx, mask | 1 << x, kept)
+
+    rec(0, 0, 0, [])
     out.sort(key=lambda m: (m.bit_count(), m))
     return out
 
@@ -201,17 +218,56 @@ def scan_minimal_ds(closed):
 def scan_irredundance(closed):
     n = _scan_order(closed)
     full = (1 << n) - 1
-    cover, irr = _irredundance_table(closed, n)
-    bits = [1 << x for x in range(n)]
-    lo = n + 1
-    upper_gamma = upper_ir = 0
-    for m in compress(range(1 << n), irr):
-        c = m.bit_count()
+    reach = _reach(closed, n)
+    lo, upper_gamma, upper_ir = n + 1, 0, 0
+
+    def rec(start, cover, privs):
+        nonlocal lo, upper_gamma, upper_ir
+        c = len(privs)
         if c > upper_ir:
             upper_ir = c
-        if c > upper_gamma and cover[m] == full:
-            upper_gamma = c
-        # ir: the smallest irredundant set that no added vertex keeps irredundant
-        if c < lo and not any(irr[m | b] for b in bits if not m & b):
-            lo = c
+        if cover == full:
+            # a dominating irredundant set is minimal dominating and has
+            # no irredundant superset, so it is also maximal irredundant
+            if c > upper_gamma:
+                upper_gamma = c
+            if c < lo:
+                lo = c
+            return
+        unc = full & ~cover
+        if c >= lo:
+            # not ir, and members added below take disjoint private
+            # territories from the uncovered vertices that later ones reach
+            r = unc & reach[start]
+            room = c + r.bit_count()
+            if room <= upper_ir and (r != unc or room <= upper_gamma):
+                return
+        kids = []
+        for x in range(start, n):
+            cx = closed[x]
+            gain = cx & unc
+            if not gain:
+                continue
+            kept = [p & ~cx for p in privs]
+            if 0 in kept:
+                continue
+            kept.append(gain)
+            kids.append((x, cx, kept))
+        if not kids and c < lo:
+            # maximal unless a lower vertex keeps the set irredundant
+            for cx in closed[:start]:
+                if cx & unc and all(p & ~cx for p in privs):
+                    break
+            else:
+                lo = c
+        # a descendant of the child by kids[i] adds only kids[i:], so it has
+        # at most `room` members, and it dominates only if they reach unc
+        room = c + len(kids)
+        for x, cx, kept in kids:
+            if c + 1 >= lo and room <= upper_ir and (room <= upper_gamma or unc & ~reach[x]):
+                break
+            rec(x + 1, cover | cx, kept)
+            room -= 1
+
+    rec(0, 0, [])
     return lo, upper_gamma, upper_ir

@@ -3,9 +3,9 @@
 Everything here is exact: predicates are direct formula evaluations,
 the per-vertex domination degree comes from a staged branch-and-bound
 search (smallest cardinality first, so the first hit is a minimum), and
-the scan-based quantities walk all vertex subsets. One irredundance
-scan gives the upper domination number and both irredundance numbers;
-only set enumeration scans for the minimal dominating sets themselves.
+the remaining quantities from a walk of irredundant sets. One walk gives
+the upper domination number and both irredundance numbers; only set
+enumeration walks them for the minimal dominating sets themselves.
 The staged search is independently cross-checkable against
 :func:`dd_vector_oracle`, a plain full-subset-scan implementation of
 the definition that shares no code with the search kernels.
@@ -39,7 +39,7 @@ from .graph import Graph, VertexSet, bits_of, mask_of, max_degree
 
 DEFAULT_EXACT_CAP = 24   # staged searches, profiles, Γ/ir/IR, set enumeration
 DEFAULT_SCAN_CAP = 20    # the oracle's subset scan
-_SCAN_HARD_CAP = 26      # subset-scan tables top out at 2^26 words
+_SCAN_HARD_CAP = 26      # the kernels' walks of irredundant sets stop at 26 vertices
 
 
 def _check_cap(n: int, cap: int, what: str) -> None:
@@ -110,7 +110,7 @@ def domination_number(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> int:
 
 
 def _irredundance_scan(g: Graph, cap: int) -> tuple[int, int, int]:
-    """(ir, Γ, IR) from one subset scan."""
+    """(ir, Γ, IR) from one walk of irredundant sets."""
     _require_vertices(g)
     _check_cap(g.n, min(cap, _SCAN_HARD_CAP), "irredundance scan")
     return kernels_for(g.n).scan_irredundance(list(g.closed_adj))
@@ -208,7 +208,7 @@ class DominationProfile:
 def domination_profile(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> DominationProfile:
     """Compute every profile field; self-checks the textbook inequalities.
 
-    Γ, ir and IR come from one subset scan.
+    Γ, ir and IR come from one walk of irredundant sets.
     """
     _require_vertices(g)
     _check_cap(g.n, min(cap, _SCAN_HARD_CAP), "domination profile")

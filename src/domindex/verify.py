@@ -15,7 +15,7 @@ small order and count each check once per labeled graph in the class
 (its weight n!/|Aut(G)|); a failed check records one discrepancy for the
 class representative. ``monotonicity`` walks all labeled graphs, one
 discrepancy per labeled instance. The per-graph work is a handful of
-subset scans.
+degree searches and walks of irredundant sets.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 from domindex import FamilySpec, generate, new_graph, parse_edgelist
+from domindex.verify import _graph_classes
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -28,6 +29,12 @@ def f9_by_label():
     edges = [(0, 1), (0, 8), (0, 7), (1, 8), (1, 7), (1, 2), (2, 7), (2, 3),
              (2, 6), (3, 6), (3, 4), (4, 5), (5, 6), (7, 8)]
     return new_graph(9, edges, [f"a{i}" for i in range(1, 10)])
+
+
+@pytest.fixture(scope="session")
+def graph_classes_7():
+    """(graph, weight) for one graph per isomorphism class on 1..7 vertices."""
+    return list(_graph_classes(7))
 
 
 @pytest.fixture(scope="session")

@@ -12,11 +12,14 @@ import signal
 import subprocess
 import sysconfig
 import time
+import tracemalloc
 
 import pytest
 
 from domindex import FamilySpec, _pykern, generate
 from domindex.backend import backend_name, kernels_for
+from domindex.engine import is_dominating, is_irredundant
+from domindex.graph import VertexSet
 from domindex.ops import disjoint_union, product
 from domindex.verify import enumerate_labeled_graphs, random_graph
 
@@ -40,7 +43,7 @@ def compiled(tmp_path_factory):
     return module
 
 
-SCAN_MAX = 13  # the subset scans run on the corpus graphs up to this order
+SCAN_MAX = 20  # the walks of irredundant sets run on the corpus graphs up to this order
 
 
 def corpus():
@@ -71,6 +74,50 @@ def test_scans_identical(compiled):
             continue
         assert _pykern.scan_minimal_ds(closed) == compiled.scan_minimal_ds(closed)
         assert _pykern.scan_irredundance(closed) == compiled.scan_irredundance(closed)
+
+
+def _irredundance_by_predicates(g):
+    """(ir, Γ, IR) from the engine's predicates over all 2^n subsets."""
+    size = 1 << g.n
+    irr = [is_irredundant(g, VertexSet(g.n, m)) for m in range(size)]
+    sets = [m for m in range(size) if irr[m]]
+    maximal = [m for m in sets if all(m >> x & 1 or not irr[m | 1 << x] for x in range(g.n))]
+    dominating = [m for m in sets if is_dominating(g, VertexSet(g.n, m))]
+    return (min(m.bit_count() for m in maximal), max(m.bit_count() for m in dominating),
+            max(m.bit_count() for m in sets))
+
+
+def test_irredundance_walk_matches_predicates_exhaustive(compiled, graph_classes_7):
+    for g, _ in graph_classes_7:
+        closed = list(g.closed_adj)
+        expected = _irredundance_by_predicates(g)
+        assert _pykern.scan_irredundance(closed) == expected, g.edges()
+        assert compiled.scan_irredundance(closed) == expected, g.edges()
+
+
+def test_irredundance_walk_keeps_upper_gamma_below_upper_ir(compiled):
+    # Two relabellings of one 14-vertex graph with Γ = 4 < IR = 5. A walk
+    # that skipped every branch unable to beat IR, without asking whether
+    # that branch can still dominate, would report Γ = 3 on each.
+    for closed in (
+        [8595, 7459, 4844, 604, 1465, 11382, 620, 1429, 403, 6732, 11442, 3618, 12806, 13345],
+        [12379, 4211, 10436, 425, 6675, 9642, 10823, 1452, 8616, 9808, 3744, 15444, 6163, 11109],
+    ):
+        assert _pykern.scan_irredundance(closed) == (3, 4, 5)
+        assert compiled.scan_irredundance(closed) == (3, 4, 5)
+
+
+def test_walks_need_no_subset_table():
+    # a table over all 2^24 subsets would take over 100 MiB
+    closed = list(random_graph(24, 0.15, seed=2415).closed_adj)
+    for scan in (_pykern.scan_irredundance, _pykern.scan_minimal_ds):
+        tracemalloc.start()
+        try:
+            scan(closed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (scan.__name__, peak)
 
 
 def test_greedy_mode_identical(compiled):
@@ -122,16 +169,21 @@ def test_signal_interrupts_compiled_search(compiled):
     # 22 disjoint edges and the rook's graph K4 x K4: gamma = 22 + 4. Stage
     # 25 tries each of the 2^22 ways to dominate the edges and then fails on
     # the rook's graph, an exhaustive search of 23-29 s (2-vCPU VM,
-    # gcc -O2); the handler must run long before it ends.
+    # gcc -O2); the handler must run long before it ends. Every subset of
+    # 26 isolated vertices is irredundant and only the whole set is maximal,
+    # so the irredundance walk visits all 2^26 subsets (2.8 s on that VM).
     k2, k4 = (generate(FamilySpec("complete", (m,))).graph for m in (2, 4))
     closed = list(disjoint_union([k2] * 22 + [product(k4, k4, "cartesian")]).closed_adj)
+    calls = [lambda: compiled.solve_dd(closed, -1, 25, 25),
+             lambda: compiled.scan_irredundance([1 << i for i in range(26)])]
     old = signal.signal(signal.SIGALRM, handler)
     try:
-        signal.setitimer(signal.ITIMER_REAL, 0.2)
-        t0 = time.perf_counter()
-        with pytest.raises(Interrupted):
-            compiled.solve_dd(closed, -1, 25, 25)
-        assert time.perf_counter() - t0 < 2
+        for call in calls:
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+            t0 = time.perf_counter()
+            with pytest.raises(Interrupted):
+                call()
+            assert time.perf_counter() - t0 < 2
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)

@@ -40,10 +40,10 @@ def test_enumeration_counts():
         next(enumerate_labeled_graphs(8))
 
 
-def test_graph_classes_match_oeis_a000088():
+def test_graph_classes_match_oeis_a000088(graph_classes_7):
     classes = Counter()
     weights = Counter()
-    for g, w in _graph_classes(7):
+    for g, w in graph_classes_7:
         classes[g.n] += 1
         weights[g.n] += w
     assert [classes[n] for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
