@@ -229,7 +229,7 @@ typedef struct {
 static int
 walk_init(Walk *w, PyObject *closed)
 {
-    w->n = read_closed(closed, w->closed, MAXSCAN, "subset scan");
+    w->n = read_closed(closed, w->closed, MAXSCAN, "irredundant-set walk");
     if (w->n < 0)
         return -1;
     w->full = (1ULL << w->n) - 1;

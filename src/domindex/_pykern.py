@@ -100,9 +100,6 @@ def solve_dd(closed, v, k_lo, k_hi):
 
 
 def _stage(closed, n, full, v, k):
-    cands = [x for x in range(n) if x != v]
-    ncands = len(cands)
-
     # privs: the private territory of each chosen vertex, in the order
     # chosen. Each level gets its own list, so backtracking undoes nothing.
     def rec(start, cover, mask, privs):
@@ -112,11 +109,10 @@ def _stage(closed, n, full, v, k):
         if slots <= 0:
             return None
         unc = full & ~cover
-        # later: the vertices this branch may still add, from id nxt up.
+        # later: the vertices this branch may still add, from id start up.
         # v among them is harmless: N[v] is covered, so v dominates no
         # uncovered vertex
-        nxt = cands[start] if start < ncands else n
-        later = full >> nxt << nxt
+        later = full >> start << start
         need = unc.bit_count()
         rest = unc
         if need <= slots:
@@ -144,16 +140,13 @@ def _stage(closed, n, full, v, k):
                     doms ^= low
             # budget bound over later candidates: the best `slots` gains
             # must reach `need`
-            caps = [(c & unc).bit_count() for c in closed[nxt:]]
-            if slots == 1:
-                if max(caps) < need:
-                    return None
-            else:
-                caps.sort(reverse=True)
-                if sum(caps[:slots]) < need:
-                    return None
-        for i in range(start, ncands):
-            x = cands[i]
+            caps = [(c & unc).bit_count() for c in closed[start:]]
+            caps.sort(reverse=True)
+            if sum(caps[:slots]) < need:
+                return None
+        for x in range(start, n):
+            if x == v:
+                continue
             cx = closed[x]
             gain = cx & ~cover
             if not gain:
@@ -162,7 +155,7 @@ def _stage(closed, n, full, v, k):
             if 0 in kept:
                 continue  # x would take a member's last private vertex
             kept.append(gain)
-            hit = rec(i + 1, cover | cx, mask | 1 << x, kept)
+            hit = rec(x + 1, cover | cx, mask | 1 << x, kept)
             if hit is not None:
                 return hit
         return None
@@ -175,7 +168,7 @@ def _stage(closed, n, full, v, k):
 def _scan_order(closed):
     n = len(closed)
     if not 1 <= n <= _MAX_SCAN:
-        raise ValueError(f"subset scan handles 1..{_MAX_SCAN} vertices, got {n}")
+        raise ValueError(f"irredundant-set walk handles 1..{_MAX_SCAN} vertices, got {n}")
     return n
 
 

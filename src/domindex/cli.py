@@ -6,10 +6,12 @@ compose through pipes::
 
     domindex generate cycle:6 | domindex analyze
 
-Exit codes: 0 success, 1 usage error, 2 proved-claim violation from
-``verify``, 3 input parse error, 4 exact cap exceeded. When the reader
-of stdout has closed the pipe, stdout is pointed at ``os.devnull``, no
-traceback is printed and the exit code is 1.
+Exit codes: 0 success, 1 usage error or an unwritable ``--out`` or
+``--ledger`` path, 2 proved-claim violation from ``verify``, 3 input
+that cannot be read, decoded as UTF-8 or parsed, 4 exact cap exceeded.
+Each error prints one ``domindex:`` line on stderr and nothing on
+stdout. When the reader of stdout has closed the pipe, stdout is pointed
+at ``os.devnull``, no traceback is printed and the exit code is 1.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import (
     DomindexError,
     ExactCapExceeded,
     InvalidFamilyParams,
+    UnreadableInput,
     UnsupportedOperation,
 )
 from .families import generate, parse_family
@@ -90,11 +93,21 @@ def _build_parser() -> _Parser:
 
 
 def _read_graph(path: str | None) -> Graph:
-    if path is None or path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    from_stdin = path is None or path == "-"
+    name = "stdin" if from_stdin else path
+    try:
+        if from_stdin:
+            text = sys.stdin.read()
+            # stdin may map bytes that are not UTF-8 to lone surrogates,
+            # which encoding rejects, as opening a file rejects the bytes
+            text.encode("utf-8")
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except OSError as exc:
+        raise UnreadableInput(f"cannot read {name}: {exc.strerror or exc}") from None
+    except UnicodeError:
+        raise UnreadableInput(f"{name} is not UTF-8 text") from None
     return formats.parse_edgelist(text)
 
 
@@ -206,6 +219,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         text, code = _COMMANDS[args.command](args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return code
     except ExactCapExceeded as exc:
         print(f"domindex: {exc}", file=sys.stderr)
         return CAP_ERROR
@@ -215,10 +232,10 @@ def main(argv: list[str] | None = None) -> int:
     except DomindexError as exc:
         print(f"domindex: {exc}", file=sys.stderr)
         return PARSE_ERROR
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return code
+    except OSError as exc:
+        # an unwritable --out or --ledger; input errors are UnreadableInput
+        print(f"domindex: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     try:
         sys.stdout.write(text)
         sys.stdout.flush()

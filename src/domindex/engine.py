@@ -167,19 +167,17 @@ def domination_degree_witness(
 
 
 def domination_degrees(
-    g: Graph, cap: int = DEFAULT_EXACT_CAP, gamma: int | None = None
+    g: Graph, cap: int = DEFAULT_EXACT_CAP
 ) -> tuple[int, list[int], list[VertexSet]]:
     """(γ, degrees, witnesses) for every vertex, searching γ only once.
 
-    The witnesses are those of :func:`domination_degree_witness`. A known
-    ``gamma`` skips the γ search; it is then the shared lower bound of
-    every vertex's staged search, which costs less over all vertices than
-    starting each one at ceil(n/(1+Δ)).
+    The witnesses are those of :func:`domination_degree_witness`. γ is
+    the shared lower bound of every vertex's staged search, which costs
+    less over all vertices than starting each one at ceil(n/(1+Δ)).
     """
     _require_vertices(g)
     _check_cap(g.n, cap, "domination degree search")
-    if gamma is None:
-        gamma = domination_number(g, cap)
+    gamma = domination_number(g, cap)
     degrees = []
     witnesses = []
     for v in range(g.n):

@@ -66,6 +66,10 @@ class MalformedLine(DomindexError):
         super().__init__(f"line {lineno}: cannot parse {text!r}")
 
 
+class UnreadableInput(DomindexError):
+    """Input that cannot be read, or that is not UTF-8 text."""
+
+
 class InternalInvariantViolation(DomindexError):
     """A computed result failed a self-check that should always hold."""
 

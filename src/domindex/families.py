@@ -27,23 +27,6 @@ class _Unresolved:
 
 UNRESOLVED = _Unresolved()
 
-KINDS = (
-    "complete",
-    "multipartite",
-    "star",
-    "path",
-    "cycle",
-    "wheel",
-    "book",
-    "windmill",
-    "kragujevac",
-    "petersen",
-    "herschel",
-    "grotzsch",
-)
-
-_NAMED = ("petersen", "herschel", "grotzsch")
-
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -58,7 +41,7 @@ def validate_family(spec: FamilySpec) -> None:
     kind, p = spec.kind, spec.params
     if kind not in KINDS:
         raise InvalidFamilyParams(f"unknown family kind {kind!r}")
-    if kind in _NAMED:
+    if kind in NAMED_REMARKS:
         if p:
             raise InvalidFamilyParams(f"{kind} takes no parameters")
         return
@@ -300,6 +283,8 @@ _GENERATORS = {
     "herschel": _herschel,
     "grotzsch": _grotzsch,
 }
+
+KINDS = tuple(_GENERATORS)
 
 
 def _ceil3(n: int) -> int:

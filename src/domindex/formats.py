@@ -6,7 +6,8 @@ Edge-list grammar, one statement per line:
 * ``u``    declares an isolated vertex;
 * ``# …``  comment; blank lines are ignored.
 
-Labels are arbitrary whitespace-free tokens. Internal ids follow first
+Labels are whitespace-free tokens that do not start with ``#``, so an
+emitted line never reads back as a comment. Internal ids follow first
 appearance and are never serialized, so emitted files diff cleanly.
 """
 
@@ -34,9 +35,12 @@ def parse_edgelist(text: str) -> Graph:
         if not line or line.startswith("#"):
             continue
         toks = line.split()
+        # toks[0] cannot start with "#": the line would be a comment
+        if len(toks) > 2 or toks[-1].startswith("#"):
+            raise MalformedLine(lineno, raw)
         if len(toks) == 1:
             vid(toks[0])
-        elif len(toks) == 2:
+        else:
             u, v = vid(toks[0]), vid(toks[1])
             if u == v:
                 raise SelfLoop(f"line {lineno}: self-loop at {toks[0]!r}")
@@ -49,8 +53,6 @@ def parse_edgelist(text: str) -> Graph:
                 continue
             seen.add(key)
             edges.append(key)
-        else:
-            raise MalformedLine(lineno, raw)
     labels = sorted(ids, key=ids.get)
     return new_graph(len(ids), edges, labels)
 

@@ -33,7 +33,6 @@ from .engine import (
     _irredundance_scan,
     dd_vector_oracle,
     domination_degrees,
-    domination_number,
     domination_profile,
     enumerate_minimal_dominating_sets,
     is_dominating,
@@ -147,9 +146,9 @@ def describe(g: Graph) -> str:
     return f"n={g.n};edges=" + ",".join(f"{u}-{v}" for u, v in g.edges())
 
 
-def dd_vector(g: Graph, cap: int = DEFAULT_EXACT_CAP, gamma: int | None = None) -> list[int]:
+def dd_vector(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> list[int]:
     """Per-vertex domination degrees via the staged engine search."""
-    return domination_degrees(g, cap, gamma)[1]
+    return domination_degrees(g, cap)[1]
 
 
 def _matching(variants: dict, value) -> tuple[list[str], str | None]:
@@ -266,11 +265,10 @@ def _suite_definitional(limits: Limits) -> CheckReport:
     top = limits.max_n if limits.max_n is not None else 6
     for g, w in _graph_classes(top):
         inst = describe(g)
-        gamma = domination_number(g)
+        gamma, degs, _ = domination_degrees(g)
         # one scan per graph: Γ and the complement check read the same list
         minimal_sets = list(enumerate_minimal_dominating_sets(g))
         upper = len(minimal_sets[-1])  # sorted by cardinality
-        degs = dd_vector(g, gamma=gamma)
         rec.record(
             "degree-between-gamma-and-upper", inst,
             all(gamma <= d <= upper for d in degs),
@@ -302,9 +300,8 @@ def _suite_inequalities(limits: Limits) -> CheckReport:
     top = limits.max_n if limits.max_n is not None else 6
     for g, w in _graph_classes(top):
         inst = describe(g)
-        gamma = domination_number(g)
+        gamma, degs, _ = domination_degrees(g)
         ir, upper, upper_ir = _irredundance_scan(g, DEFAULT_EXACT_CAP)
-        degs = dd_vector(g, gamma=gamma)
         di = sum(degs)
         chain_ok = (
             ir <= gamma

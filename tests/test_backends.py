@@ -43,7 +43,7 @@ def compiled(tmp_path_factory):
     return module
 
 
-SCAN_MAX = 20  # the walks of irredundant sets run on the corpus graphs up to this order
+SCAN_MAX = 22  # the walks of irredundant sets run on the corpus graphs up to this order
 
 
 def corpus():

@@ -117,7 +117,7 @@ def test_verify_quick_families():
     assert payload["instances"] > 0
 
 
-def test_exit_codes():
+def test_exit_codes(tmp_path):
     code, _, err = run(["degree", "--vertex", "a1"], stdin="a b c\n")
     assert code == 3  # malformed input line
     code, _, err = run(["degree", "--in", F9, "--vertex", "zz"])
@@ -131,6 +131,19 @@ def test_exit_codes():
         assert code == 4 and out == ""  # class enumeration capped at 8, refused up front
     code, _, err = run(["op", "union", "--in", F9])
     assert code == 1  # op needs two inputs
+    latin1 = tmp_path / "latin1.edges"
+    latin1.write_bytes(b"caf\xe9 b\n")
+    missing = tmp_path / "missing"
+    for argv, stdin, want in (
+        (["analyze", "--in", str(missing)], "", 3),  # unreadable input
+        (["analyze", "--in", str(latin1)], "", 3),  # not UTF-8
+        (["analyze"], "caf\udce9 b\n", 3),  # stdin's bytes escaped as surrogates
+        (["generate", "cycle:5", "--out", str(missing / "x")], "", 1),
+        (["verify", "--suite", "named-graphs", "--ledger", str(missing / "l.jsonl")], "", 1),
+    ):
+        code, out, err = run(argv, stdin)
+        assert (code, out) == (want, ""), argv
+        assert err.startswith("domindex: ") and err.count("\n") == 1, argv
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])
     assert exc.value.code == 1

@@ -314,7 +314,6 @@ def test_witness_is_lex_least_minimum_set_containing_v():
 def test_domination_degrees_with_known_gamma(petersen):
     gamma, degs, wits = domination_degrees(petersen)
     assert gamma == 3 and degs == [3] * 10
-    assert domination_degrees(petersen, gamma=gamma) == (gamma, degs, wits)
     with pytest.raises(ExactCapExceeded):
         domination_degrees(petersen, cap=9)
 

@@ -1,7 +1,10 @@
 import json
 import re
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domindex import domination_profile, is_minimal_dominating, new_graph
 from domindex.errors import DuplicateEdgeWarning, MalformedLine, SelfLoop
@@ -32,6 +35,10 @@ def test_parse_errors():
     assert err.value.lineno == 1
     with pytest.raises(SelfLoop):
         parse_edgelist("a a\n")
+    # emitted as "#b z", such a label would read back as a comment
+    for text in ("z #b\n", "a b\nz #\n"):
+        with pytest.raises(MalformedLine):
+            parse_edgelist(text)
 
 
 def test_parse_duplicate_edge_warns():
@@ -68,6 +75,25 @@ def test_round_trip(f9):
         a = sorted(f9.labels_of(f9.neighbors(f9.id_of(lbl))))
         b = sorted(again.labels_of(again.neighbors(again.id_of(lbl))))
         assert a == b
+
+
+def _labeled(g):
+    return set(g.labels), {frozenset((g.labels[u], g.labels[v])) for u, v in g.edges()}
+
+
+_TOKEN = st.text(st.characters() | st.sampled_from("#ab"), min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(_TOKEN, max_size=2).map(" ".join), max_size=6).map("\n".join))
+def test_round_trip_any_parsed_text(text):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DuplicateEdgeWarning)
+            g = parse_edgelist(text)
+    except (MalformedLine, SelfLoop):
+        return
+    assert _labeled(parse_edgelist(emit_edgelist(g))) == _labeled(g)
 
 
 def test_dot_output(f9):
