@@ -16,7 +16,6 @@ from .engine import (
     DominationProfile,
     dd_vector_oracle,
     domination_degree,
-    domination_degree_oracle,
     domination_degree_witness,
     domination_degrees,
     domination_number,
@@ -44,7 +43,7 @@ from .graph import (
     permute,
     wiener_index,
 )
-from .ops import corona, disjoint_union, join, predicted_op_degree, product
+from .ops import corona, disjoint_union, join, product
 from .verify import Limits, enumerate_labeled_graphs, random_graph, run_suite
 
 __version__ = "0.1.0"
@@ -64,7 +63,6 @@ __all__ = [
     "dd_vector_oracle",
     "disjoint_union",
     "domination_degree",
-    "domination_degree_oracle",
     "domination_degree_witness",
     "domination_degrees",
     "domination_number",
@@ -90,7 +88,6 @@ __all__ = [
     "parse_edgelist",
     "parse_family",
     "permute",
-    "predicted_op_degree",
     "private_neighborhood",
     "product",
     "random_graph",

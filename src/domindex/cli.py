@@ -82,9 +82,9 @@ def _build_parser() -> _Parser:
     sp.add_argument("--suite", required=True, choices=verify.SUITE_NAMES)
     sp.add_argument("--ledger", metavar="PATH", help="write discrepancies as JSON lines")
     sp.add_argument("--limit", type=int, default=None, metavar="N",
-                    help="shrink exhaustive pools to at most N vertices")
-    sp.add_argument("--quick", action="store_true", help="reduced family grid")
-    common(sp, ("text", "json"), inputs=0)
+                    help="largest order the exhaustive suites walk (default 6;"
+                    " 15 for paths-resolution); the other suites run fixed pools")
+    common(sp, ("text", "json"), inputs=0, cap=False)
 
     sp = sub.add_parser("facility", help="hub placement: minimum minimal dominating set around a hub")
     sp.add_argument("--hub", required=True, metavar="LABEL")
@@ -187,8 +187,7 @@ def _cmd_mds_containing(args) -> tuple[str, int]:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
-    limits = verify.Limits(max_n=args.limit, cap=args.max_exact, quick=args.quick)
-    report = verify.run_suite(args.suite, limits)
+    report = verify.run_suite(args.suite, verify.Limits(max_n=args.limit))
     if args.ledger:
         verify.write_ledger(report, args.ledger)
     emit = verify.report_to_json if args.format == "json" else verify.report_to_text

@@ -116,14 +116,14 @@ def _irredundance_scan(g: Graph, cap: int) -> tuple[int, int, int]:
     return kernels_for(g.n).scan_irredundance(list(g.closed_adj))
 
 
-def upper_domination_number(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> int:
+def upper_domination_number(g: Graph) -> int:
     """Maximum cardinality of a minimal dominating set."""
-    return _irredundance_scan(g, cap)[1]
+    return _irredundance_scan(g, DEFAULT_EXACT_CAP)[1]
 
 
-def irredundance_numbers(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> tuple[int, int]:
+def irredundance_numbers(g: Graph) -> tuple[int, int]:
     """(ir, IR): extreme cardinalities of maximal irredundant / irredundant sets."""
-    ir, _, upper_ir = _irredundance_scan(g, cap)
+    ir, _, upper_ir = _irredundance_scan(g, DEFAULT_EXACT_CAP)
     return ir, upper_ir
 
 
@@ -139,9 +139,9 @@ def _dd_with_bound(g: Graph, v: int, k_lo: int) -> tuple[int, int]:
     return hit
 
 
-def domination_degree(g: Graph, v: int, cap: int = DEFAULT_EXACT_CAP) -> int:
+def domination_degree(g: Graph, v: int) -> int:
     """Minimum cardinality of a minimal dominating set containing ``v``."""
-    return domination_degree_witness(g, v, cap)[0]
+    return domination_degree_witness(g, v)[0]
 
 
 def domination_degree_witness(
@@ -241,13 +241,11 @@ def _check_profile(g: Graph, p: DominationProfile) -> None:
             raise InternalInvariantViolation(f"bad witness for vertex {v}")
 
 
-def enumerate_minimal_dominating_sets(
-    g: Graph, cap: int = DEFAULT_EXACT_CAP
-) -> Iterator[VertexSet]:
+def enumerate_minimal_dominating_sets(g: Graph) -> Iterator[VertexSet]:
     """Every minimal dominating set once, smallest cardinality first,
     ties broken by ascending mask value."""
     _require_vertices(g)
-    _check_cap(g.n, min(cap, _SCAN_HARD_CAP), "minimal dominating set enumeration")
+    _check_cap(g.n, DEFAULT_EXACT_CAP, "minimal dominating set enumeration")
     for mask in kernels_for(g.n).scan_minimal_ds(list(g.closed_adj)):
         yield VertexSet(g.n, mask)
 
@@ -307,7 +305,7 @@ def minimalize_containing(g: Graph, d: VertexSet, v: int) -> VertexSet:
     return out
 
 
-def dd_vector_oracle(g: Graph, cap: int = DEFAULT_SCAN_CAP) -> list[int]:
+def dd_vector_oracle(g: Graph) -> list[int]:
     """Brute-force domination degrees straight from the definition.
 
     Scans all vertex subsets; a subset counts when its closed
@@ -315,7 +313,7 @@ def dd_vector_oracle(g: Graph, cap: int = DEFAULT_SCAN_CAP) -> list[int]:
     neighbor. Kept deliberately separate from the search kernels so it
     can serve as an independent cross-check.
     """
-    _check_cap(g.n, min(cap, _SCAN_HARD_CAP), "oracle subset scan")
+    _check_cap(g.n, DEFAULT_SCAN_CAP, "oracle subset scan")
     n = g.n
     full = g.full_mask
     closed = g.closed_adj
@@ -343,8 +341,3 @@ def dd_vector_oracle(g: Graph, cap: int = DEFAULT_SCAN_CAP) -> list[int]:
     if n and max(best) > n:
         raise InternalInvariantViolation("oracle found a vertex in no minimal dominating set")
     return best
-
-
-def domination_degree_oracle(g: Graph, v: int, cap: int = DEFAULT_SCAN_CAP) -> int:
-    g.check_vertex(v)
-    return dd_vector_oracle(g, cap)[v]

@@ -88,10 +88,6 @@ def corona(g: Graph, h: Graph) -> Graph:
     return new_graph(n, edges, labels)
 
 
-def is_complete(g: Graph) -> bool:
-    return g.m == g.n * (g.n - 1) // 2
-
-
 def union_predicted(part_degrees: Sequence[Sequence[int]]) -> list[int]:
     """Degree of a union vertex: its own part degree plus the domination
     numbers of all other parts."""
@@ -124,27 +120,3 @@ def corona_predicted(n_g: int, deg_h: Sequence[int]) -> list[int]:
     for _ in range(n_g):
         out += [d + n_g - 1 for d in deg_h]
     return out
-
-
-def predicted_op_degree(op: str, factors, v: int) -> int:
-    """Closed-form degree of composite vertex ``v``.
-
-    ``factors`` is a list of (graph, per-vertex degrees) pairs for the
-    operands, in order. Supported ops: union, join, composition with a
-    complete second factor, corona. Other products have no closed form
-    and raise UnsupportedOperation.
-    """
-    if op == "union":
-        return union_predicted([d for _, d in factors])[v]
-    if op == "join":
-        (_, dg), (_, dh) = factors
-        return join_predicted(dg, dh)[v]
-    if op == "composition":
-        (_, dg), (h, _) = factors
-        if not is_complete(h):
-            raise UnsupportedOperation("composition prediction needs a complete second factor")
-        return composition_complete_predicted(dg, h.n)[v]
-    if op == "corona":
-        (g, _), (_, dh) = factors
-        return corona_predicted(g.n, dh)[v]
-    raise UnsupportedOperation(f"no closed-form degree for operation {op!r}")

@@ -6,17 +6,19 @@ package's own extension was built; they skip only without a C compiler.
 """
 
 import importlib.util
+import os
 import pathlib
 import shutil
 import signal
 import subprocess
+import sys
 import sysconfig
 import time
 import tracemalloc
 
 import pytest
 
-from domindex import FamilySpec, _pykern, generate
+from domindex import FamilySpec, _pykern, backend, generate
 from domindex.backend import backend_name, kernels_for
 from domindex.engine import is_dominating, is_irredundant
 from domindex.graph import VertexSet
@@ -193,6 +195,29 @@ def test_backend_reports_name():
     assert backend_name() in ("compiled", "python")
     assert kernels_for(65) is _pykern  # wider than one machine word
     assert kernels_for(100) is _pykern
+
+
+def test_backend_env_override():
+    """``DOMINDEX_BACKEND`` is read once, at import, so each value gets a
+    fresh interpreter."""
+    path = os.pathsep.join(filter(None, [str(SOURCE.parents[1]), os.environ.get("PYTHONPATH")]))
+
+    def child(value):
+        env = {**os.environ, "PYTHONPATH": path, "DOMINDEX_BACKEND": value}
+        return subprocess.run(
+            [sys.executable, "-c", "import domindex; print(domindex.backend_name())"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    py = child("py")
+    assert (py.returncode, py.stdout) == (0, "python\n")
+    bogus = child("bogus")
+    assert bogus.returncode != 0 and "'bogus'" in bogus.stderr
+    c = child("c")
+    if backend._kernels is not None:
+        assert (c.returncode, c.stdout) == (0, "compiled\n")
+    else:
+        assert c.returncode != 0 and "not built" in c.stderr
 
 
 def test_python_twin_handles_wide_graphs():

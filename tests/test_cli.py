@@ -110,8 +110,8 @@ def test_verify_cli(tmp_path):
     assert ledger.exists() and len(ledger.read_text().splitlines()) == 3
 
 
-def test_verify_quick_families():
-    code, out, _ = run(["verify", "--suite", "families", "--quick", "--format", "json"])
+def test_verify_families():
+    code, out, _ = run(["verify", "--suite", "families", "--format", "json"])
     assert code == 0
     payload = json.loads(out)
     assert payload["instances"] > 0
@@ -138,12 +138,16 @@ def test_exit_codes(tmp_path):
         (["analyze", "--in", str(missing)], "", 3),  # unreadable input
         (["analyze", "--in", str(latin1)], "", 3),  # not UTF-8
         (["analyze"], "caf\udce9 b\n", 3),  # stdin's bytes escaped as surrogates
+        (["analyze"], "", 3),  # no vertices
+        (["analyze", "--in", F9, "--in", F9], "", 1),  # one input graph only
+        (["op", "union", "--in", "-", "--in", "-"], "", 1),  # stdin read once
         (["generate", "cycle:5", "--out", str(missing / "x")], "", 1),
         (["verify", "--suite", "named-graphs", "--ledger", str(missing / "l.jsonl")], "", 1),
     ):
         code, out, err = run(argv, stdin)
         assert (code, out) == (want, ""), argv
         assert err.startswith("domindex: ") and err.count("\n") == 1, argv
+    assert run(["analyze"])[2] == "domindex: operation needs at least one vertex\n"
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])
     assert exc.value.code == 1
@@ -274,6 +278,8 @@ def test_golden_stdout(case):
         ["generate", "cycle:5", "--format", "json"],
         ["generate", "cycle:5", "--max-exact", "3"],
         ["op", "union", "--in", F9, "--in", F9, "--max-exact", "30"],
+        ["verify", "--suite", "families", "--quick"],
+        ["verify", "--suite", "operations", "--max-exact", "19"],
     ],
 )
 def test_unsupported_option_is_usage_error(argv):

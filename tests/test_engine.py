@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from domindex import (
     dd_vector_oracle,
     domination_degree,
-    domination_degree_oracle,
     domination_degree_witness,
     domination_degrees,
     domination_number,
@@ -268,7 +267,7 @@ def test_greedy_c4_trace():
 # oracle agreement and random-instance properties --------------------------
 
 def test_oracle_examples(f9_by_label):
-    assert domination_degree_oracle(f9_by_label, f9_by_label.id_of("a2")) == 3
+    assert dd_vector_oracle(f9_by_label)[f9_by_label.id_of("a2")] == 3
     assert dd_vector_oracle(complete(4)) == [1, 1, 1, 1]
     assert dd_vector_oracle(star(3)) == [1, 3, 3, 3]
 

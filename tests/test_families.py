@@ -29,7 +29,8 @@ def test_parse_and_format():
 @pytest.mark.parametrize(
     "text",
     ["nosuch:3", "cycle:2", "wheel:1", "book", "windmill:1,2", "windmill:2",
-     "multipartite:2", "multipartite:1,2", "kragujevac:3", "cycle:x", "complete:0"],
+     "multipartite:2", "multipartite:1,2", "kragujevac:3", "cycle:x", "complete:0",
+     "petersen:3", "cycle:3,4"],
 )
 def test_invalid_params(text):
     with pytest.raises(InvalidFamilyParams):
@@ -145,6 +146,7 @@ def test_small_family_formulas_against_engine():
         FamilySpec("windmill", (3, 2)),
         FamilySpec("multipartite", (2, 2)),
         FamilySpec("kragujevac", (1, 1)),
+        FamilySpec("path", (1,)),
     ):
         g = generate(spec).graph
         degs = dd_vector(g)

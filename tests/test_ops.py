@@ -1,13 +1,8 @@
-import pytest
-
 from domindex import FamilySpec, corona, disjoint_union, generate, join, new_graph, product
-from domindex.errors import UnsupportedOperation
 from domindex.ops import (
     composition_complete_predicted,
     corona_predicted,
-    is_complete,
     join_predicted,
-    predicted_op_degree,
     union_predicted,
 )
 from domindex.verify import dd_vector
@@ -116,25 +111,5 @@ def test_corona_formula():
     degs = dd_vector(g)
     want = corona_predicted(4, dd_vector(complete(2)))
     assert degs == want
+    assert degs[:4] == [4] * 4  # hubs: |G|
     assert degs[4] == 1 + 3  # copy vertex: factor degree 1 plus n-1
-
-
-def test_predicted_op_degree_dispatch():
-    c6, k2 = cycle(6), complete(2)
-    factors = [(c6, dd_vector(c6)), (k2, dd_vector(k2))]
-    assert predicted_op_degree("union", factors, 0) == 3
-    assert predicted_op_degree("join", factors, 0) == 2
-    p3 = path(3)
-    assert predicted_op_degree(
-        "composition", [(p3, dd_vector(p3)), (k2, None)], 3
-    ) == 1
-    assert predicted_op_degree("corona", [(c6, None), (k2, dd_vector(k2))], 6) == 6
-    with pytest.raises(UnsupportedOperation):
-        predicted_op_degree("cartesian", factors, 0)
-    with pytest.raises(UnsupportedOperation):
-        predicted_op_degree("composition", [(p3, dd_vector(p3)), (p3, None)], 0)
-
-
-def test_is_complete():
-    assert is_complete(complete(4))
-    assert not is_complete(path(3))

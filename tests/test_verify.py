@@ -84,8 +84,7 @@ def test_unknown_suite():
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_suites_smoke(suite):
-    limits = Limits(max_n=4, quick=True)
-    report = run_suite(suite, limits)
+    report = run_suite(suite, Limits(max_n=4))
     assert report.instances == report.passes + len(report.discrepancies)
     assert report.runtime_seconds >= 0
     # only contested claims may disagree on these small pools
@@ -139,7 +138,7 @@ def test_report_serialization(tmp_path):
 
 # sha256 of (report_to_json without its runtime_seconds line, report_to_text
 # without its runtime: line, the write_ledger file) per suite at
-# Limits(max_n=5, quick=True). Any change here changes a suite's output.
+# Limits(max_n=5). Any change here changes a suite's output.
 GOLDEN_SUITES = {
     "definitional": (
         "c11e35ab9867c347b6d053dd019c677b9f707044d17cd2b51593ac573d64aca6",
@@ -152,9 +151,9 @@ GOLDEN_SUITES = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "families": (
-        "d3d89b2033d66c6194a621163f939158ebd4045ea00e189bc0c5f6954ee09a28",
-        "d805513192fae27741df156e9b451da2534f1ffc6b6b2c69d9ad64d63206578d",
-        "257c083fafed61920fd24446958f3d43a79b67fc40d993d7eb8ed988a466f0e3",
+        "a65ab999913d84383127354d46342d99cdb80dfea63d55c32186182255e0e1c0",
+        "11abca3abb452b332828e24c3746fd26709b949662b2a45d2d3d4f973ba1f2d8",
+        "ca1e96eecb296112e2e7376e15964c70290fe31bed0f4b5c964677f651fca381",
     ),
     "paths-resolution": (
         "a4e8fd958c37faca19ecdffa7488010ffc3711343c8326ab78efd3086bc19a81",
@@ -196,7 +195,7 @@ def test_golden_suites_cover_every_suite():
 
 @pytest.mark.parametrize("suite", sorted(GOLDEN_SUITES))
 def test_golden_suite_output(suite, tmp_path):
-    report = run_suite(suite, Limits(max_n=5, quick=True))
+    report = run_suite(suite, Limits(max_n=5))
     ledger = tmp_path / "ledger.jsonl"
     write_ledger(report, str(ledger))
     got = (
