@@ -8,10 +8,12 @@ compose through pipes::
 
 Exit codes: 0 success, 1 usage error or an unwritable ``--out`` or
 ``--ledger`` path, 2 proved-claim violation from ``verify``, 3 input
-that cannot be read, decoded as UTF-8 or parsed, 4 exact cap exceeded.
-Each error prints one ``domindex:`` line on stderr and nothing on
-stdout. When the reader of stdout has closed the pipe, stdout is pointed
-at ``os.devnull``, no traceback is printed and the exit code is 1.
+that cannot be read, decoded as UTF-8 or parsed, 4 exact cap exceeded,
+5 internal error (a computed result failed a self-check: a bug in
+domindex, not in the input). Each error prints one ``domindex:`` line
+on stderr and nothing on stdout. When the reader of stdout has closed
+the pipe, stdout is pointed at ``os.devnull``, no traceback is printed
+and the exit code is 1.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from . import engine, formats, verify
 from .errors import (
     DomindexError,
     ExactCapExceeded,
+    InternalInvariantViolation,
     InvalidFamilyParams,
     UnreadableInput,
     UnsupportedOperation,
@@ -33,7 +36,7 @@ from .families import generate, parse_family
 from .graph import Graph, VertexSet
 from .ops import OP_NAMES, PRODUCT_KINDS, corona, disjoint_union, join, product
 
-USAGE_ERROR, VIOLATION, PARSE_ERROR, CAP_ERROR = 1, 2, 3, 4
+USAGE_ERROR, VIOLATION, PARSE_ERROR, CAP_ERROR, INTERNAL_ERROR = 1, 2, 3, 4, 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -228,6 +231,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidFamilyParams, UnsupportedOperation) as exc:
         print(f"domindex: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except InternalInvariantViolation as exc:
+        print(f"domindex: internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     except DomindexError as exc:
         print(f"domindex: {exc}", file=sys.stderr)
         return PARSE_ERROR

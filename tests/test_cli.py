@@ -8,7 +8,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from domindex import engine
 from domindex.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -117,7 +120,7 @@ def test_verify_families():
     assert payload["instances"] > 0
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, monkeypatch):
     code, _, err = run(["degree", "--vertex", "a1"], stdin="a b c\n")
     assert code == 3  # malformed input line
     code, _, err = run(["degree", "--in", F9, "--vertex", "zz"])
@@ -126,9 +129,9 @@ def test_exit_codes(tmp_path):
     assert code == 1  # bad family parameters
     code, _, err = run(["analyze", "--max-exact", "4"], stdin="a b\nb c\nc d\nd e\n")
     assert code == 4  # cap exceeded
-    for suite in ("inequalities", "definitional"):
-        code, out, _ = run(["verify", "--suite", suite, "--limit", "9"])
-        assert code == 4 and out == ""  # class enumeration capped at 8, refused up front
+    for suite, limit in (("inequalities", "9"), ("definitional", "9"), ("monotonicity", "8")):
+        code, out, _ = run(["verify", "--suite", suite, "--limit", limit])
+        assert code == 4 and out == ""  # enumeration over its cap, refused up front
     code, _, err = run(["op", "union", "--in", F9])
     assert code == 1  # op needs two inputs
     latin1 = tmp_path / "latin1.edges"
@@ -154,6 +157,30 @@ def test_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--suite", "bogus"])
     assert exc.value.code == 1
+    # a search that finds no set breaks an invariant: a bug, not bad input
+    monkeypatch.setattr(engine.kernels_for(9), "solve_dd", lambda *args: None)
+    for argv in (["degree", "--in", F9, "--vertex", "a2"], ["analyze", "--in", F9]):
+        code, out, err = run(argv)
+        assert (code, out) == (5, ""), argv
+        assert err.startswith("domindex: ") and err.count("\n") == 1, argv
+
+
+# edge-list-like lines over a few labels, comment marks, whitespace and a
+# lone surrogate (how stdin carries bytes that are not UTF-8), or any text
+_CHAR = st.characters() | st.sampled_from(" \t#ab\udce9")
+_TOKEN = st.sampled_from("abcdef") | st.text(_CHAR, min_size=1, max_size=2)
+_LINE = st.lists(_TOKEN, max_size=2).map(" ".join)
+_STDIN = st.lists(_LINE, max_size=6).map("\n".join) | st.text(_CHAR)
+
+
+@pytest.mark.filterwarnings("ignore::domindex.errors.DuplicateEdgeWarning")
+@settings(max_examples=100, deadline=None)
+@given(_STDIN, st.sampled_from(("json", "text")), st.sampled_from(([], ["--max-exact", "3"])))
+def test_analyze_any_stdin_exits_cleanly(text, fmt, cap):
+    code, out, err = run(["analyze", "--format", fmt, *cap], stdin=text)
+    assert code in (0, 3, 4)
+    if code:
+        assert out == "" and err.startswith("domindex: ") and err.count("\n") == 1
 
 
 def test_out_flag(tmp_path):

@@ -4,7 +4,13 @@ from collections import Counter
 
 import pytest
 
-from domindex import domination_profile, enumerate_labeled_graphs, random_graph, run_suite
+from domindex import (
+    domination_profile,
+    enumerate_labeled_graphs,
+    random_graph,
+    run_suite,
+    verify,
+)
 from domindex.errors import EnumerationCapExceeded, UnknownSuite
 from domindex.graph import is_connected
 from domindex.verify import (
@@ -118,6 +124,21 @@ def test_monotonicity_verdicts_recorded():
     # the per-vertex claim already fails at order 4 (star leaf deletions)
     assert not verdicts["edge-deletion-degree-monotone"]["holds"]
     assert verdicts["edge-deletion-degree-monotone"]["first_counterexample"]
+
+
+def test_monotonicity_solves_each_labeled_graph_once(monkeypatch):
+    solved = []
+    solve = verify.dd_vector
+
+    def counted(g):
+        solved.append(g.open_adj)
+        return solve(g)
+
+    monkeypatch.setattr(verify, "dd_vector", counted)
+    run_suite("monotonicity", Limits(max_n=5))
+    # the connected graphs and their one-edge deletions: 1,025 labeled
+    # graphs, reached 5,066 times
+    assert len(solved) == len(set(solved)) == 1025
 
 
 def test_report_serialization(tmp_path):
