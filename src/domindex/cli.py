@@ -29,6 +29,7 @@ from .errors import (
     ExactCapExceeded,
     InternalInvariantViolation,
     InvalidFamilyParams,
+    InvalidLimits,
     UnreadableInput,
     UnsupportedOperation,
 )
@@ -85,8 +86,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--suite", required=True, choices=verify.SUITE_NAMES)
     sp.add_argument("--ledger", metavar="PATH", help="write discrepancies as JSON lines")
     sp.add_argument("--limit", type=int, default=None, metavar="N",
-                    help="largest order the exhaustive suites walk (default 6;"
-                    " 15 for paths-resolution); the other suites run fixed pools")
+                    help="largest order the exhaustive suites walk (default 6, at least 1;"
+                    " 15 and at least 3 for paths-resolution); the other suites run fixed pools")
     common(sp, ("text", "json"), inputs=0, cap=False)
 
     sp = sub.add_parser("facility", help="hub placement: minimum minimal dominating set around a hub")
@@ -228,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     except ExactCapExceeded as exc:
         print(f"domindex: {exc}", file=sys.stderr)
         return CAP_ERROR
-    except (InvalidFamilyParams, UnsupportedOperation) as exc:
+    except (InvalidFamilyParams, InvalidLimits, UnsupportedOperation) as exc:
         print(f"domindex: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except InternalInvariantViolation as exc:

@@ -7,8 +7,11 @@ the remaining quantities from a walk of irredundant sets. One walk gives
 the upper domination number and both irredundance numbers; only set
 enumeration walks them for the minimal dominating sets themselves.
 The staged search is independently cross-checkable against
-:func:`dd_vector_oracle`, a plain full-subset-scan implementation of
-the definition that shares no code with the search kernels.
+:func:`dd_vector_oracle`, a full-subset-scan implementation of the
+definition that shares no code with the search kernels. It still tests
+every one of the 2^n subsets, but from cover tables built once per half
+of the vertex set, so each subset costs O(1) mask operations (plus one
+test per member when it dominates) in O(2^(n/2)) ints of memory.
 
 Terminology: a set is *dominating* when the closed neighborhoods of its
 members cover the vertex set, and *minimal dominating* when it is
@@ -305,39 +308,56 @@ def minimalize_containing(g: Graph, d: VertexSet, v: int) -> VertexSet:
     return out
 
 
+def _cover_tables(closed: tuple[int, ...], lo: int, hi: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(once, twice, members) for every subset of the vertices lo..hi-1:
+    the vertices its closed neighborhoods cover at least once, those they
+    cover at least twice, and its members ascending. Entry i is the
+    subset whose bits are those of i, shifted up by lo."""
+    once, twice, members = [0], [0], [()]
+    for v in range(lo, hi):
+        c = closed[v]
+        for i in range(len(once)):
+            o = once[i]
+            once.append(o | c)
+            twice.append(twice[i] | (o & c))
+            members.append(members[i] + (v,))
+    return list(zip(once, twice, members))
+
+
 def dd_vector_oracle(g: Graph) -> list[int]:
     """Brute-force domination degrees straight from the definition.
 
-    Scans all vertex subsets; a subset counts when its closed
-    neighborhoods cover the graph and every member keeps a private
-    neighbor. Kept deliberately separate from the search kernels so it
-    can serve as an independent cross-check.
+    Scans every one of the 2^n vertex subsets, with no pruning; a subset
+    counts when its closed neighborhoods cover the graph and every member
+    keeps a private neighbor. Kept deliberately separate from the search
+    kernels so it can serve as an independent cross-check.
+
+    A subset is a low half (vertices below ceil(n/2)) joined with a high
+    half, and each half's cover tables are built once, so a subset costs
+    O(1) mask operations: it dominates iff its halves' ``once`` masks
+    together cover every vertex, its ``twice`` mask is
+    ``lo_twice | hi_twice | (lo_once & hi_once)``, and a member keeps a
+    private neighbor iff its closed neighborhood is not inside ``twice``.
+    The tables hold O(2^(n/2)) ints, 2^10 per half at the cap of 20.
     """
     _check_cap(g.n, DEFAULT_SCAN_CAP, "oracle subset scan")
     n = g.n
     full = g.full_mask
     closed = g.closed_adj
+    half = (n + 1) // 2
+    lows = _cover_tables(closed, 0, half)
     best = [n + 1] * n
-    for m in range(1, 1 << n):
-        cov = 0
-        for a in bits_of(m):
-            cov |= closed[a]
-        if cov != full:
-            continue
-        ok = True
-        for a in bits_of(m):
-            others = 0
-            for b in bits_of(m ^ (1 << a)):
-                others |= closed[b]
-            if closed[a] & ~others == 0:
-                ok = False
-                break
-        if not ok:
-            continue
-        card = m.bit_count()
-        for a in bits_of(m):
-            if card < best[a]:
-                best[a] = card
+    for hi_once, hi_twice, hi_members in _cover_tables(closed, half, n):
+        for lo_once, lo_twice, lo_members in lows:
+            if lo_once | hi_once != full:
+                continue
+            once_only = ~(lo_twice | hi_twice | (lo_once & hi_once))
+            members = lo_members + hi_members
+            if all(closed[a] & once_only for a in members):
+                card = len(members)
+                for a in members:
+                    if card < best[a]:
+                        best[a] = card
     if n and max(best) > n:
         raise InternalInvariantViolation("oracle found a vertex in no minimal dominating set")
     return best

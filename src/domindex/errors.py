@@ -57,6 +57,10 @@ class UnknownSuite(DomindexError):
     """Verification suite name not recognised."""
 
 
+class InvalidLimits(DomindexError):
+    """Suite limits under which the suite would check nothing."""
+
+
 class MalformedLine(DomindexError):
     """Edge-list input line that cannot be parsed."""
 

@@ -37,7 +37,7 @@ from .engine import (
     enumerate_minimal_dominating_sets,
     is_dominating,
 )
-from .errors import EnumerationCapExceeded, UnknownSuite
+from .errors import EnumerationCapExceeded, InvalidLimits, UnknownSuite
 from .families import (
     ARGUED_REMARKS,
     NAMED_REMARKS,
@@ -116,7 +116,9 @@ class Limits:
     """Pool size of the suites that walk all graphs up to an order:
     ``max_n`` caps ``definitional``, ``inequalities`` and
     ``monotonicity`` (default 6) and ``paths-resolution`` (default 15).
-    The other suites run fixed pools."""
+    ``run_suite`` refuses a ``max_n`` below the smallest order such a
+    suite walks (1, and 3 for ``paths-resolution``), which would check
+    nothing. The other suites run fixed pools."""
 
     max_n: int | None = None
 
@@ -184,6 +186,11 @@ def run_suite(suite: str, limits: Limits | None = None) -> CheckReport:
         fn = _SUITES[suite]
     except KeyError:
         raise UnknownSuite(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}") from None
+    smallest = _SMALLEST_ORDER.get(suite)
+    if smallest is not None and limits.max_n is not None and limits.max_n < smallest:
+        raise InvalidLimits(
+            f"suite {suite} walks orders from {smallest}, so limit {limits.max_n} checks nothing"
+        )
     t0 = time.perf_counter()
     report = fn(limits)
     report.runtime_seconds = time.perf_counter() - t0
@@ -619,6 +626,8 @@ _SUITES = {
     "named-graphs": _suite_named_graphs,
 }
 SUITE_NAMES = tuple(_SUITES)
+# the first order each suite bounded by Limits.max_n walks
+_SMALLEST_ORDER = {"definitional": 1, "inequalities": 1, "monotonicity": 1, "paths-resolution": 3}
 
 
 def write_ledger(report: CheckReport, path: str) -> None:

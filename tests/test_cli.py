@@ -132,6 +132,11 @@ def test_exit_codes(tmp_path, monkeypatch):
     for suite, limit in (("inequalities", "9"), ("definitional", "9"), ("monotonicity", "8")):
         code, out, _ = run(["verify", "--suite", suite, "--limit", limit])
         assert code == 4 and out == ""  # enumeration over its cap, refused up front
+    for suite, limit in (("inequalities", "0"), ("inequalities", "-3"), ("definitional", "0"),
+                         ("monotonicity", "0"), ("paths-resolution", "2")):
+        code, out, err = run(["verify", "--suite", suite, "--limit", limit])
+        assert (code, out) == (1, ""), (suite, limit)  # would check nothing
+        assert err.startswith("domindex: ") and err.count("\n") == 1, (suite, limit)
     code, _, err = run(["op", "union", "--in", F9])
     assert code == 1  # op needs two inputs
     latin1 = tmp_path / "latin1.edges"

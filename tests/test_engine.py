@@ -22,10 +22,10 @@ from domindex import (
     private_neighborhood,
     upper_domination_number,
 )
-from domindex import engine
+from domindex import VertexSet, engine
 from domindex.engine import _dd_with_bound
 from domindex.errors import ExactCapExceeded, NotDominating, VertexNotInSet, VertexOutOfRange
-from domindex.verify import enumerate_labeled_graphs, random_graph
+from domindex.verify import _graph_classes, enumerate_labeled_graphs, random_graph
 
 
 def complete(n):
@@ -270,6 +270,33 @@ def test_oracle_examples(f9_by_label):
     assert dd_vector_oracle(f9_by_label)[f9_by_label.id_of("a2")] == 3
     assert dd_vector_oracle(complete(4)) == [1, 1, 1, 1]
     assert dd_vector_oracle(star(3)) == [1, 3, 3, 3]
+
+
+def _dd_by_definition(g):
+    """Least size of a minimal dominating set holding each vertex, testing
+    every subset with the public predicate."""
+    best = [g.n + 1] * g.n
+    for m in range(1 << g.n):
+        s = VertexSet(g.n, m)
+        if is_minimal_dominating(g, s):
+            for a in s.members():
+                best[a] = min(best[a], len(s))
+    return best
+
+
+def test_oracle_matches_definition_exhaustive():
+    # Every class on <= 6 vertices (odd orders and edgeless graphs among
+    # them), n = 0 (both halves empty), and sparse odd orders up to 11
+    # whose isolated vertices fall in either half of the oracle's split.
+    sparse = [random_graph(n, 0.15, seed=n + 7 * k) for n in (7, 9, 11) for k in range(3)]
+    assert all(0 in g.open_adj for g in sparse)
+    graphs = [new_graph(0, [])] + [g for g, _ in _graph_classes(6)] + sparse
+    assert {1, 2} <= {g.n for g in graphs}
+    assert dd_vector_oracle(new_graph(0, [])) == []
+    for g in graphs:
+        assert dd_vector_oracle(g) == _dd_by_definition(g), g.edges()
+    with pytest.raises(ExactCapExceeded):
+        dd_vector_oracle(new_graph(21, []))
 
 
 @given(st.integers(0, 400))
