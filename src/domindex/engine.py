@@ -20,6 +20,10 @@ domination degree of a vertex is the minimum cardinality of a minimal
 dominating set containing it; the domination index is the sum of the
 degrees over all vertices.
 
+Every kernel call passes one private entry: ``_kernels`` guards the
+input and picks the twin, ``_search`` and ``_walk`` make the calls. Only
+:func:`mds_containing_greedy` passes no cap.
+
 Everything here is a pure function of immutable inputs, so concurrent
 calls (including per-vertex degree computations of one graph) are safe.
 """
@@ -43,11 +47,6 @@ from .graph import Graph, VertexSet, bits_of, mask_of, max_degree
 DEFAULT_EXACT_CAP = 24   # staged searches, profiles, Γ/ir/IR, set enumeration
 DEFAULT_SCAN_CAP = 20    # the oracle's subset scan
 _SCAN_HARD_CAP = 26      # the kernels' walks of irredundant sets stop at 26 vertices
-
-
-def _check_cap(n: int, cap: int, what: str) -> None:
-    if n > cap:
-        raise ExactCapExceeded(f"{what} capped at {cap} vertices, graph has {n}")
 
 
 def _check_bound(g: Graph, s: VertexSet) -> None:
@@ -101,45 +100,55 @@ def _gamma_lower_bound(g: Graph) -> int:
     return ceil(g.n / (1 + max_degree(g)))
 
 
+def _kernels(g: Graph, cap: int | None, what: str, v: int | None = None):
+    """The kernel twin for ``g``, once ``g`` has 1 to ``cap`` vertices
+    (None: no cap) and ``v``, if given, is one of them."""
+    if g.n < 1:
+        raise VertexOutOfRange("operation needs at least one vertex")
+    if v is not None:
+        g.check_vertex(v)
+    if cap is not None and g.n > cap:
+        raise ExactCapExceeded(f"{what} capped at {cap} vertices, graph has {g.n}")
+    return kernels_for(g.n)
+
+
+def _search(kern, g: Graph, v: int, k_lo: int) -> tuple[int, int]:
+    """(size, mask) of the lex-least smallest minimal dominating set through
+    ``v``, or of a smallest dominating set when ``v`` is -1, from size ``k_lo``."""
+    hit = kern.solve_dd(g.closed_adj, v, k_lo, g.n)
+    if hit is None:
+        raise InternalInvariantViolation(
+            "no dominating set found" if v < 0 else f"no minimal dominating set contains vertex {v}"
+        )
+    return hit
+
+
+def _walk(g: Graph, cap: int, what: str, minimal_sets: bool = False):
+    """(ir, Γ, IR), or the minimal dominating set masks, from one walk of
+    irredundant sets, capped also at the walks' limit."""
+    kern = _kernels(g, min(cap, _SCAN_HARD_CAP), what)
+    return (kern.scan_minimal_ds if minimal_sets else kern.scan_irredundance)(g.closed_adj)
+
+
 def domination_number(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> int:
     """Minimum cardinality of a dominating set."""
-    _require_vertices(g)
-    _check_cap(g.n, cap, "domination number search")
-    kern = kernels_for(g.n)
-    hit = kern.solve_dd(list(g.closed_adj), -1, _gamma_lower_bound(g), g.n)
-    if hit is None:
-        raise InternalInvariantViolation("no dominating set found")
-    return hit[0]
+    return _search(_kernels(g, cap, "domination number search"), g, -1, _gamma_lower_bound(g))[0]
 
 
-def _irredundance_scan(g: Graph, cap: int) -> tuple[int, int, int]:
+def _irredundance_scan(g: Graph) -> tuple[int, int, int]:
     """(ir, Γ, IR) from one walk of irredundant sets."""
-    _require_vertices(g)
-    _check_cap(g.n, min(cap, _SCAN_HARD_CAP), "irredundance scan")
-    return kernels_for(g.n).scan_irredundance(list(g.closed_adj))
+    return _walk(g, DEFAULT_EXACT_CAP, "irredundance scan")
 
 
 def upper_domination_number(g: Graph) -> int:
     """Maximum cardinality of a minimal dominating set."""
-    return _irredundance_scan(g, DEFAULT_EXACT_CAP)[1]
+    return _irredundance_scan(g)[1]
 
 
 def irredundance_numbers(g: Graph) -> tuple[int, int]:
     """(ir, IR): extreme cardinalities of maximal irredundant / irredundant sets."""
-    ir, _, upper_ir = _irredundance_scan(g, DEFAULT_EXACT_CAP)
+    ir, _, upper_ir = _irredundance_scan(g)
     return ir, upper_ir
-
-
-def _require_vertices(g: Graph) -> None:
-    if g.n < 1:
-        raise VertexOutOfRange("operation needs at least one vertex")
-
-
-def _dd_with_bound(g: Graph, v: int, k_lo: int) -> tuple[int, int]:
-    hit = kernels_for(g.n).solve_dd(list(g.closed_adj), v, k_lo, g.n)
-    if hit is None:
-        raise InternalInvariantViolation(f"no minimal dominating set contains vertex {v}")
-    return hit
 
 
 def domination_degree(g: Graph, v: int) -> int:
@@ -162,10 +171,8 @@ def domination_degree_witness(
     succeeds is still dd(v), and a stage's search does not depend on
     where the stages started.
     """
-    _require_vertices(g)
-    g.check_vertex(v)
-    _check_cap(g.n, cap, "domination degree search")
-    size, mask = _dd_with_bound(g, v, _gamma_lower_bound(g))
+    kern = _kernels(g, cap, "domination degree search", v)
+    size, mask = _search(kern, g, v, _gamma_lower_bound(g))
     return size, VertexSet(g.n, mask)
 
 
@@ -178,13 +185,12 @@ def domination_degrees(
     the shared lower bound of every vertex's staged search, which costs
     less over all vertices than starting each one at ceil(n/(1+Δ)).
     """
-    _require_vertices(g)
-    _check_cap(g.n, cap, "domination degree search")
+    kern = _kernels(g, cap, "domination degree search")
     gamma = domination_number(g, cap)
     degrees = []
     witnesses = []
     for v in range(g.n):
-        size, mask = _dd_with_bound(g, v, gamma)
+        size, mask = _search(kern, g, v, gamma)
         degrees.append(size)
         witnesses.append(VertexSet(g.n, mask))
     return gamma, degrees, witnesses
@@ -209,12 +215,11 @@ class DominationProfile:
 def domination_profile(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> DominationProfile:
     """Compute every profile field; self-checks the textbook inequalities.
 
-    Γ, ir and IR come from one walk of irredundant sets.
+    Γ, ir and IR come from one walk of irredundant sets. It runs first,
+    so a graph over the walks' limit fails before any degree search.
     """
-    _require_vertices(g)
-    _check_cap(g.n, min(cap, _SCAN_HARD_CAP), "domination profile")
+    ir, upper, upper_ir = _walk(g, cap, "domination profile")
     gamma, degrees, witnesses = domination_degrees(g, cap)
-    ir, upper, upper_ir = _irredundance_scan(g, cap)
     index = sum(degrees)
     profile = DominationProfile(
         degrees=tuple(degrees),
@@ -247,9 +252,7 @@ def _check_profile(g: Graph, p: DominationProfile) -> None:
 def enumerate_minimal_dominating_sets(g: Graph) -> Iterator[VertexSet]:
     """Every minimal dominating set once, smallest cardinality first,
     ties broken by ascending mask value."""
-    _require_vertices(g)
-    _check_cap(g.n, DEFAULT_EXACT_CAP, "minimal dominating set enumeration")
-    for mask in kernels_for(g.n).scan_minimal_ds(list(g.closed_adj)):
+    for mask in _walk(g, DEFAULT_EXACT_CAP, "minimal dominating set enumeration", minimal_sets=True):
         yield VertexSet(g.n, mask)
 
 
@@ -260,11 +263,9 @@ def mds_containing_greedy(g: Graph, v: int) -> VertexSet:
     only while every member keeps a nonempty private neighborhood; the
     first set whose closed neighborhoods cover the graph is returned.
     The result is always minimal dominating but not necessarily of
-    minimum cardinality.
+    minimum cardinality. It is the one search here with no cap.
     """
-    _require_vertices(g)
-    g.check_vertex(v)
-    return VertexSet(g.n, _dd_with_bound(g, v, g.n)[1])
+    return VertexSet(g.n, _search(_kernels(g, None, "greedy search", v), g, v, g.n)[1])
 
 
 def minimalize_containing(g: Graph, d: VertexSet, v: int) -> VertexSet:
@@ -340,7 +341,8 @@ def dd_vector_oracle(g: Graph) -> list[int]:
     private neighbor iff its closed neighborhood is not inside ``twice``.
     The tables hold O(2^(n/2)) ints, 2^10 per half at the cap of 20.
     """
-    _check_cap(g.n, DEFAULT_SCAN_CAP, "oracle subset scan")
+    if g.n > DEFAULT_SCAN_CAP:
+        raise ExactCapExceeded(f"oracle subset scan capped at {DEFAULT_SCAN_CAP} vertices, graph has {g.n}")
     n = g.n
     full = g.full_mask
     closed = g.closed_adj

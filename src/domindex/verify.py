@@ -156,11 +156,9 @@ def _labeled_graphs(n: int) -> Iterator[tuple[int, Graph]]:
     )
 
 
-def enumerate_labeled_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
+def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
     """All labeled graphs on n vertices (2^(n(n-1)/2) of them); n <= 7."""
     for _, g in _labeled_graphs(n):
-        if connected_only and n > 0 and not is_connected(g):
-            continue
         yield g
 
 
@@ -186,13 +184,15 @@ def run_suite(suite: str, limits: Limits | None = None) -> CheckReport:
         fn = _SUITES[suite]
     except KeyError:
         raise UnknownSuite(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}") from None
-    smallest = _SMALLEST_ORDER.get(suite)
-    if smallest is not None and limits.max_n is not None and limits.max_n < smallest:
-        raise InvalidLimits(
-            f"suite {suite} walks orders from {smallest}, so limit {limits.max_n} checks nothing"
-        )
+    args = ()
+    if suite in _ORDERS:
+        smallest, default = _ORDERS[suite]
+        top = default if limits.max_n is None else limits.max_n
+        if top < smallest:
+            raise InvalidLimits(f"suite {suite} walks orders from {smallest}, so limit {top} checks nothing")
+        args = (range(smallest, top + 1),)
     t0 = time.perf_counter()
-    report = fn(limits)
+    report = fn(*args)
     report.runtime_seconds = time.perf_counter() - t0
     return report
 
@@ -265,7 +265,7 @@ def _graph_classes(top: int) -> Iterator[tuple[Graph, int]]:
             yield new_graph(n, edges), factorial(n) // aut
 
 
-def _suite_named_graphs(limits: Limits) -> CheckReport:
+def _suite_named_graphs() -> CheckReport:
     rec = CheckReport("named-graphs")
     for kind, (dd, di) in NAMED_REMARKS.items():
         proved = kind in ARGUED_REMARKS
@@ -283,10 +283,9 @@ def _suite_named_graphs(limits: Limits) -> CheckReport:
     return rec
 
 
-def _suite_definitional(limits: Limits) -> CheckReport:
+def _suite_definitional(orders: range) -> CheckReport:
     rec = CheckReport("definitional")
-    top = limits.max_n if limits.max_n is not None else 6
-    for g, w in _graph_classes(top):
+    for g, w in _graph_classes(orders[-1]):
         inst = describe(g)
         search_gamma, degs, _ = domination_degrees(g)
         # one scan per graph gives γ, Γ and the complement check. The
@@ -330,13 +329,12 @@ def _suite_definitional(limits: Limits) -> CheckReport:
     return rec
 
 
-def _suite_inequalities(limits: Limits) -> CheckReport:
+def _suite_inequalities(orders: range) -> CheckReport:
     rec = CheckReport("inequalities")
-    top = limits.max_n if limits.max_n is not None else 6
-    for g, w in _graph_classes(top):
+    for g, w in _graph_classes(orders[-1]):
         inst = describe(g)
         gamma, degs, _ = domination_degrees(g)
-        ir, upper, upper_ir = _irredundance_scan(g, DEFAULT_EXACT_CAP)
+        ir, upper, upper_ir = _irredundance_scan(g)
         di = sum(degs)
         chain_ok = (
             ir <= gamma
@@ -379,7 +377,7 @@ def family_grid() -> list[FamilySpec]:
     return specs
 
 
-def _suite_families(limits: Limits) -> CheckReport:
+def _suite_families() -> CheckReport:
     rec = CheckReport("families")
     resolved = {}
     pool = family_grid() + [FamilySpec("book", (1,))]
@@ -441,12 +439,11 @@ def _suite_families(limits: Limits) -> CheckReport:
     return rec
 
 
-def _suite_paths_resolution(limits: Limits) -> CheckReport:
+def _suite_paths_resolution(orders: range) -> CheckReport:
     rec = CheckReport("paths-resolution")
-    top = limits.max_n if limits.max_n is not None else 15
     seen: dict[int, dict[str, set]] = {t: {"dd": set(), "di": set()} for t in range(3)}
     rows = []
-    for n in range(3, top + 1):
+    for n in orders:
         spec = FamilySpec("path", (n,))
         g = generate(spec).graph
         name = f"path:{n}"
@@ -504,7 +501,7 @@ def _op_pool() -> list[tuple[str, Graph]]:
     return [(name, generate(s).graph) for name, s in specs]
 
 
-def _suite_operations(limits: Limits) -> CheckReport:
+def _suite_operations() -> CheckReport:
     rec = CheckReport("operations")
     pool = _op_pool()
     base = {name: dd_vector(g) for name, g in pool}
@@ -544,12 +541,10 @@ def _suite_operations(limits: Limits) -> CheckReport:
     return rec
 
 
-def _suite_monotonicity(limits: Limits) -> CheckReport:
+def _suite_monotonicity(orders: range) -> CheckReport:
     rec = CheckReport("monotonicity")
-    top = limits.max_n if limits.max_n is not None else 6
     # one generator per order up front, so a limit over the cap does no work
-    orders = [(n, _labeled_graphs(n)) for n in range(1, top + 1)]
-    for n, graphs in orders:
+    for n, graphs in [(n, _labeled_graphs(n)) for n in orders]:
         # Each labeled graph is solved once: the degree vector of the graph
         # with edge mask M is table[M*n : M*n + n], and as degrees are at
         # least 1, a 0 there means not solved yet. n * 2^(n(n-1)/2) bytes,
@@ -595,7 +590,7 @@ def _suite_monotonicity(limits: Limits) -> CheckReport:
     return rec
 
 
-def _suite_products_ordering(limits: Limits) -> CheckReport:
+def _suite_products_ordering() -> CheckReport:
     rec = CheckReport("products-ordering")
     pool = _op_pool()
     for na, ga in pool:
@@ -626,8 +621,9 @@ _SUITES = {
     "named-graphs": _suite_named_graphs,
 }
 SUITE_NAMES = tuple(_SUITES)
-# the first order each suite bounded by Limits.max_n walks
-_SMALLEST_ORDER = {"definitional": 1, "inequalities": 1, "monotonicity": 1, "paths-resolution": 3}
+# (smallest, default) order of each suite that Limits.max_n bounds; the
+# classes of _graph_classes start at order 1
+_ORDERS = {"definitional": (1, 6), "inequalities": (1, 6), "monotonicity": (1, 6), "paths-resolution": (3, 15)}
 
 
 def write_ledger(report: CheckReport, path: str) -> None:

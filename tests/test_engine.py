@@ -23,7 +23,8 @@ from domindex import (
     upper_domination_number,
 )
 from domindex import VertexSet, engine
-from domindex.engine import _dd_with_bound
+from domindex.backend import kernels_for
+from domindex.engine import _search
 from domindex.errors import ExactCapExceeded, NotDominating, VertexNotInSet, VertexOutOfRange
 from domindex.verify import _graph_classes, enumerate_labeled_graphs, random_graph
 
@@ -121,6 +122,32 @@ def test_caps():
     with pytest.raises(ExactCapExceeded):
         irredundance_numbers(big)
     assert domination_number(big, cap=25) == 25
+
+
+def test_guards_run_before_any_kernel_work(monkeypatch):
+    # every exponential entry point refuses bad input before it picks a twin
+    def refuse(n):
+        raise AssertionError("a kernel was picked before the guards ran")
+
+    monkeypatch.setattr(engine, "kernels_for", refuse)
+    capped = [
+        domination_number,
+        lambda g: domination_degree_witness(g, 0),
+        domination_degrees,
+        domination_profile,
+        upper_domination_number,
+        irredundance_numbers,
+        lambda g: list(enumerate_minimal_dominating_sets(g)),
+    ]
+    for entry in capped + [lambda g: mds_containing_greedy(g, 0)]:
+        with pytest.raises(VertexOutOfRange):
+            entry(new_graph(0, []))
+    for entry in capped:
+        with pytest.raises(ExactCapExceeded):
+            entry(new_graph(25, []))
+    # over the walks' limit of 26, a profile fails even under a larger cap
+    with pytest.raises(ExactCapExceeded):
+        domination_profile(new_graph(27, []), cap=30)
 
 
 # domination degree --------------------------------------------------------
@@ -329,7 +356,7 @@ def test_witness_is_lex_least_minimum_set_containing_v():
         assert shared[0] == gamma
         for v in range(n):
             size, w = domination_degree_witness(g, v)
-            assert (size, w.bits) == _dd_with_bound(g, v, gamma)
+            assert (size, w.bits) == _search(kernels_for(g.n), g, v, gamma)
             containing = [s for s in sets if v in s]
             least = min(len(s) for s in containing)
             assert w.members() == min(s for s in containing if len(s) == least)

@@ -41,7 +41,7 @@ def test_enumeration_counts():
     assert len(graphs3) == 8
     assert sum(1 for g in graphs3 if is_connected(g)) == 4
     assert sum(1 for _ in enumerate_labeled_graphs(4)) == 64
-    assert sum(1 for _ in enumerate_labeled_graphs(4, connected_only=True)) == 38
+    assert sum(1 for g in enumerate_labeled_graphs(4) if is_connected(g)) == 38
     with pytest.raises(EnumerationCapExceeded):
         next(enumerate_labeled_graphs(8))
 
