@@ -50,20 +50,101 @@ read_closed(PyObject *closed, u64 *cl, int maxn, const char *what)
 /* One stage of the staged search: a depth-first extension of the base
    set to at most k vertices. priv[d] holds, for a set of d chosen
    vertices, the private territory of each of them in the order chosen;
-   each depth has its own row, so backtracking restores nothing. */
+   each depth has its own row, so backtracking restores nothing. todo:
+   the vertices solve_dd_all has found no set for yet. */
 typedef struct {
     int n, k, v;
-    u64 full, nodes;
+    u64 full, nodes, todo;
     u64 closed[MAXN];
     int chosen[MAXN];
     u64 priv[MAXN + 1][MAXN];
 } Search;
 
+/* Whether the branch that extends the set of `depth` chosen vertices,
+   which covers `cover`, by the vertices in `later` is pruned: the budget
+   s->k - depth is spent, or a bound shows that no hit lies on it. The
+   bounds count only the vertices the branch may still add, so they prune
+   only branches that cannot reach a hit. */
+static inline __attribute__((always_inline)) int
+pruned(const Search *s, int depth, u64 cover, u64 later)
+{
+    int slots = s->k - depth;
+    if (slots <= 0)
+        return 1;
+    u64 unc = s->full & ~cover;
+    int need = POPCOUNT(unc);
+    if (need <= slots) {
+        /* neither bound can count past `slots`: only an uncovered vertex
+           with no later dominator prunes */
+        for (u64 rest = unc; rest != 0; rest &= rest - 1)
+            if ((s->closed[CTZ(rest)] & later) == 0)
+                return 1;
+        return 0;
+    }
+    /* packing bound: uncovered vertices that share no later dominator
+       each need an added vertex of their own */
+    int packed = 0;
+    for (u64 rest = unc; rest != 0;) {
+        u64 doms = s->closed[CTZ(rest)] & later;
+        if (doms == 0 || ++packed > slots)
+            return 1;
+        for (; doms != 0; doms &= doms - 1)
+            rest &= ~s->closed[CTZ(doms)];
+    }
+
+    /* budget bound over later candidates: the best `slots` gains must
+       reach `need` */
+    int hist[MAXN + 1], top = 0;
+    for (int c = 0; c <= s->n; c++)  /* a gain is at most |unc| <= n */
+        hist[c] = 0;
+    for (u64 rest = later; rest != 0; rest &= rest - 1) {
+        int c = POPCOUNT(s->closed[CTZ(rest)] & unc);
+        hist[c]++;
+        if (c > top)
+            top = c;
+    }
+    for (int c = top; c > 0 && need > 0 && slots > 0; c--) {
+        int take = hist[c] < slots ? hist[c] : slots;
+        need -= take * c;
+        slots -= take;
+    }
+    return need > 0;
+}
+
+/* Whether adding x to the set of `depth` chosen vertices, which covers
+   `cover`, keeps it irredundant; if so, row depth + 1 of s->priv holds
+   the private territories of the set plus x. */
+static inline int
+admit(Search *s, int depth, int x, u64 cover)
+{
+    u64 cx = s->closed[x], gain = cx & ~cover;
+    if (gain == 0)
+        return 0;  /* x would arrive with empty private territory */
+    const u64 *privs = s->priv[depth];
+    u64 *kept = s->priv[depth + 1];
+    int j = 0;
+    while (j < depth && (kept[j] = privs[j] & ~cx) != 0)
+        j++;
+    if (j < depth)
+        return 0;  /* x would take a member's last private vertex */
+    kept[depth] = gain;
+    return 1;
+}
+
+/* The vertices above `last`: those a branch may still add. */
+static inline u64
+above(const Search *s, int last)
+{
+    int next = last + 1;
+    return next < s->n ? s->full >> next << next : 0;
+}
+
 /* The size of the first hit that extends chosen[0..depth) (chosen[] then
    holds it), 0 when there is none, -1 when a signal handler raised.
    Candidates ascend by id, so a branch may add only vertices above
-   `last`; the packing and budget bounds count only those, and prune only
-   branches that cannot reach a hit, so the first hit is unchanged. */
+   `last`, and the first hit is the lexicographically least. v's bit in
+   `later` is harmless, as N[v] is covered and so dominates no uncovered
+   vertex. */
 static int
 dfs(Search *s, int depth, int last, u64 cover)
 {
@@ -71,73 +152,46 @@ dfs(Search *s, int depth, int last, u64 cover)
         return -1;
     if (cover == s->full)
         return depth;
-    int slots = s->k - depth;
-    if (slots <= 0)
+    if (pruned(s, depth, cover, above(s, last)))
         return 0;
-
-    /* later: the vertices this branch may still add; v's bit is harmless,
-       as N[v] is covered and so dominates no uncovered vertex */
-    u64 unc = s->full & ~cover;
-    int next = last + 1;
-    u64 later = next < s->n ? s->full >> next << next : 0;
-
-    int need = POPCOUNT(unc);
-    if (need <= slots) {
-        /* neither bound can count past `slots`: only an uncovered vertex
-           with no later dominator prunes */
-        for (u64 rest = unc; rest != 0; rest &= rest - 1)
-            if ((s->closed[CTZ(rest)] & later) == 0)
-                return 0;
-    } else {
-        /* packing bound: uncovered vertices that share no later
-           dominator each need an added vertex of their own */
-        int packed = 0;
-        for (u64 rest = unc; rest != 0;) {
-            u64 doms = s->closed[CTZ(rest)] & later;
-            if (doms == 0 || ++packed > slots)
-                return 0;
-            for (; doms != 0; doms &= doms - 1)
-                rest &= ~s->closed[CTZ(doms)];
-        }
-
-        /* budget bound over later candidates: the best `slots` gains
-           must reach `need` */
-        int hist[MAXN + 1], top = 0;
-        for (int c = 0; c <= s->n; c++)  /* a gain is at most |unc| <= n */
-            hist[c] = 0;
-        for (int x = next; x < s->n; x++) {
-            int c = POPCOUNT(s->closed[x] & unc);
-            hist[c]++;
-            if (c > top)
-                top = c;
-        }
-        for (int c = top; c > 0 && need > 0 && slots > 0; c--) {
-            int take = hist[c] < slots ? hist[c] : slots;
-            need -= take * c;
-            slots -= take;
-        }
-        if (need > 0)
-            return 0;
-    }
-
-    const u64 *privs = s->priv[depth];
-    u64 *kept = s->priv[depth + 1];
     for (int x = last + 1; x < s->n; x++) {
-        if (x == s->v)
+        if (x == s->v || !admit(s, depth, x, cover))
             continue;
-        u64 cx = s->closed[x], gain = cx & ~cover;
-        if (gain == 0)
-            continue;  /* x would arrive with empty private territory */
-        int j = 0;
-        while (j < depth && (kept[j] = privs[j] & ~cx) != 0)
-            j++;
-        if (j < depth)
-            continue;  /* x would take a member's last private vertex */
-        kept[depth] = gain;
         s->chosen[depth] = x;
-        int hit = dfs(s, depth + 1, x, cover | cx);
+        int hit = dfs(s, depth + 1, x, cover | s->closed[x]);
         if (hit != 0)
             return hit;
+    }
+    return 0;
+}
+
+/* One stage of solve_dd_all: dfs with no fixed vertex, which does not
+   stop at a hit but sets size[u] and found[u] for each of its members u
+   still in s->todo, and prunes a branch none of whose sets has such a
+   member. Stops once s->todo is empty. 0, or -1 when a signal handler
+   raised. */
+static int
+sweep(Search *s, int depth, int last, u64 cover, u64 mask, int *size, u64 *found)
+{
+    if ((++s->nodes & POLL) == 0 && PyErr_CheckSignals() < 0)
+        return -1;
+    if (cover == s->full) {
+        u64 hits = mask & s->todo;
+        s->todo &= ~hits;
+        for (; hits != 0; hits &= hits - 1) {
+            size[CTZ(hits)] = depth;
+            found[CTZ(hits)] = mask;
+        }
+        return 0;
+    }
+    u64 later = above(s, last);
+    if (((mask | later) & s->todo) == 0 || pruned(s, depth, cover, later))
+        return 0;
+    for (int x = last + 1; x < s->n && s->todo != 0; x++) {
+        if (!admit(s, depth, x, cover))
+            continue;
+        if (sweep(s, depth + 1, x, cover | s->closed[x], mask | 1ULL << x, size, found) < 0)
+            return -1;
     }
     return 0;
 }
@@ -210,6 +264,41 @@ solve_dd(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
             break;  /* every stage above n searches the same tree as stage n */
     }
     Py_RETURN_NONE;
+}
+
+/* solve_dd_all(closed, k_lo): stages k = max(k_lo, 1) .. n of sweep,
+   until every vertex has its set. */
+static PyObject *
+solve_dd_all(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    int k_lo, size[MAXN];
+    u64 found[MAXN];
+    Search s;
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "solve_dd_all expected 2 arguments, got %zd", nargs);
+        return NULL;
+    }
+    if (as_int(args[1], &k_lo) < 0)
+        return NULL;
+    s.n = read_closed(args[0], s.closed, MAXN, "compiled kernel");
+    if (s.n < 0)
+        return NULL;
+    s.v = -1;
+    s.full = s.todo = s.n == 64 ? ~0ULL : (1ULL << s.n) - 1;
+    s.nodes = 0;
+    for (s.k = k_lo < 1 ? 1 : k_lo; s.k <= s.n && s.todo != 0; s.k++)
+        if (sweep(&s, 0, -1, 0, 0, size, found) < 0)
+            return NULL;
+    PyObject *out = PyList_New(s.n);
+    for (int u = 0; out != NULL && u < s.n; u++) {
+        PyObject *hit = s.todo >> u & 1 ? Py_NewRef(Py_None)
+                                        : Py_BuildValue("(iK)", size[u], found[u]);
+        if (hit == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, u, hit);
+    }
+    return out;
 }
 
 /* A walk of irredundant sets (see the kernel contract in _pykern): a
@@ -409,6 +498,8 @@ scan_irredundance(PyObject *Py_UNUSED(self), PyObject *closed)
 static PyMethodDef methods[] = {
     {"solve_dd", (PyCFunction)(void (*)(void))solve_dd, METH_FASTCALL,
      "solve_dd(closed, v, k_lo, k_hi) -> (size, mask) or None"},
+    {"solve_dd_all", (PyCFunction)(void (*)(void))solve_dd_all, METH_FASTCALL,
+     "solve_dd_all(closed, k_lo) -> [(size, mask) or None for each vertex]"},
     {"scan_minimal_ds", scan_minimal_ds, METH_O,
      "scan_minimal_ds(closed) -> minimal dominating sets sorted by (size, mask)"},
     {"scan_irredundance", scan_irredundance, METH_O,

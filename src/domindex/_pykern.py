@@ -35,6 +35,20 @@ solve_dd(closed, v, k_lo, k_hi)
     therefore the lexicographically least witness of minimum size, or
     None when no stage succeeds.
 
+solve_dd_all(closed, k_lo)
+    solve_dd(closed, v, γ, n) for every vertex v, as a list indexed by v,
+    from one walk per stage k = max(k_lo, 1) .. n instead of one per
+    vertex; k_lo must not exceed γ. A stage walks the tree of a stage of
+    solve_dd with no fixed vertex, under the same bounds. It does not
+    stop at a hit: it records (size, member_mask) of each dominating set
+    it reaches for every member not yet served, and does not extend that
+    set. It also prunes a branch whose set and later candidates hold no
+    vertex still to serve, and stops once every vertex is served. Sets
+    arrive in lexicographic order of their sorted ids, and a vertex still
+    unserved at stage k is in no minimal dominating set smaller than k,
+    so each record is that vertex's solve_dd witness. A vertex in no
+    minimal dominating set gets None.
+
 scan_minimal_ds(closed)
     Every minimal dominating set, found by a walk of irredundant sets,
     returned as masks sorted by (cardinality, mask value). Only set
@@ -75,8 +89,8 @@ the set is smaller than the best ir so far. Memory is O(n^2) words plus
 the output.
 
 Every function raises ValueError for a graph with no vertices, and the
-scans also for one over 26 vertices. Only ``solve_dd`` of this twin
-takes graphs over 64 vertices.
+scans also for one over 26 vertices. Only ``solve_dd`` and
+``solve_dd_all`` of this twin take graphs over 64 vertices.
 """
 
 from __future__ import annotations
@@ -163,6 +177,85 @@ def _stage(closed, n, full, v, k):
     if v >= 0:
         return rec(0, closed[v], 1 << v, [closed[v]])
     return rec(0, 0, 0, [])
+
+
+def solve_dd_all(closed, k_lo):
+    n = len(closed)
+    if n < 1:
+        raise ValueError("python kernel handles 1 or more vertices, got 0")
+    full = (1 << n) - 1
+    found = [None] * n
+    todo = full
+    for k in range(max(k_lo, 1), n + 1):
+        todo = _sweep(closed, n, full, k, found, todo)
+        if not todo:
+            break
+    return found
+
+
+def _sweep(closed, n, full, k, found, todo):
+    # One stage of solve_dd_all: _stage's walk and bounds with no fixed
+    # vertex. It records each dominating set it reaches as found[u] for
+    # its members u still in `todo`, and returns the vertices left there.
+    def rec(start, cover, mask, privs):
+        nonlocal todo
+        if cover == full:
+            hits = mask & todo
+            if hits:
+                todo ^= hits
+                hit = len(privs), mask
+                while hits:
+                    low = hits & -hits
+                    found[low.bit_length() - 1] = hit
+                    hits ^= low
+            return
+        slots = k - len(privs)
+        if slots <= 0:
+            return
+        later = full >> start << start
+        if not (mask | later) & todo:
+            return  # no set on this branch has a member still to serve
+        unc = full & ~cover
+        need = unc.bit_count()
+        rest = unc
+        if need <= slots:
+            while rest:
+                low = rest & -rest
+                if not closed[low.bit_length() - 1] & later:
+                    return
+                rest ^= low
+        else:
+            packed = 0
+            while rest:
+                doms = closed[(rest & -rest).bit_length() - 1] & later
+                if not doms:
+                    return
+                packed += 1
+                if packed > slots:
+                    return
+                while doms:
+                    low = doms & -doms
+                    rest &= ~closed[low.bit_length() - 1]
+                    doms ^= low
+            caps = [(c & unc).bit_count() for c in closed[start:]]
+            caps.sort(reverse=True)
+            if sum(caps[:slots]) < need:
+                return
+        for x in range(start, n):
+            cx = closed[x]
+            gain = cx & ~cover
+            if not gain:
+                continue
+            kept = [p & ~cx for p in privs]
+            if 0 in kept:
+                continue
+            kept.append(gain)
+            rec(x + 1, cover | cx, mask | 1 << x, kept)
+            if not todo:
+                return
+
+    rec(0, 0, 0, [])
+    return todo
 
 
 def _scan_order(closed):

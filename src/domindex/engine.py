@@ -2,10 +2,12 @@
 
 Everything here is exact: predicates are direct formula evaluations,
 the per-vertex domination degree comes from a staged branch-and-bound
-search (smallest cardinality first, so the first hit is a minimum), and
-the remaining quantities from a walk of irredundant sets. One walk gives
-the upper domination number and both irredundance numbers; only set
-enumeration walks them for the minimal dominating sets themselves.
+search (smallest cardinality first, so the first hit is a minimum), the
+degree vector and γ from one sweep per stage that serves every vertex
+under the same bounds, and the remaining quantities from a walk of
+irredundant sets. One walk gives the upper domination number and both
+irredundance numbers; only set enumeration walks them for the minimal
+dominating sets themselves.
 The staged search is independently cross-checkable against
 :func:`dd_vector_oracle`, a full-subset-scan implementation of the
 definition that shares no code with the search kernels. It still tests
@@ -21,8 +23,8 @@ dominating set containing it; the domination index is the sum of the
 degrees over all vertices.
 
 Every kernel call passes one private entry: ``_kernels`` guards the
-input and picks the twin, ``_search`` and ``_walk`` make the calls. Only
-:func:`mds_containing_greedy` passes no cap.
+input and picks the twin, ``_search``, ``_search_all`` and ``_walk``
+make the calls. Only :func:`mds_containing_greedy` passes no cap.
 
 Everything here is a pure function of immutable inputs, so concurrent
 calls (including per-vertex degree computations of one graph) are safe.
@@ -123,6 +125,17 @@ def _search(kern, g: Graph, v: int, k_lo: int) -> tuple[int, int]:
     return hit
 
 
+def _search_all(kern, g: Graph) -> list[tuple[int, int]]:
+    """``_search(kern, g, v, γ)`` for every vertex ``v``, from one sweep
+    per stage size from ceil(n/(1+Δ)) up."""
+    hits = kern.solve_dd_all(g.closed_adj, _gamma_lower_bound(g))
+    if None in hits:
+        raise InternalInvariantViolation(
+            f"no minimal dominating set contains vertex {hits.index(None)}"
+        )
+    return hits
+
+
 def _walk(g: Graph, cap: int, what: str, minimal_sets: bool = False):
     """(ir, Γ, IR), or the minimal dominating set masks, from one walk of
     irredundant sets, capped also at the walks' limit."""
@@ -179,21 +192,19 @@ def domination_degree_witness(
 def domination_degrees(
     g: Graph, cap: int = DEFAULT_EXACT_CAP
 ) -> tuple[int, list[int], list[VertexSet]]:
-    """(γ, degrees, witnesses) for every vertex, searching γ only once.
+    """(γ, degrees, witnesses) for every vertex, from one sweep per stage.
 
-    The witnesses are those of :func:`domination_degree_witness`. γ is
-    the shared lower bound of every vertex's staged search, which costs
-    less over all vertices than starting each one at ceil(n/(1+Δ)).
+    The witnesses are those of :func:`domination_degree_witness`. For
+    k = ceil(n/(1+Δ)), k+1, ..., one walk of the minimal dominating sets
+    of at most k vertices serves every vertex not yet served that a set
+    it reaches contains. Sets arrive in lexicographic order, so each
+    vertex gets the lexicographically least of the smallest sets that
+    contain it, as its own staged search would. γ is the smallest size
+    recorded: the members of a minimum dominating set have degree γ.
     """
-    kern = _kernels(g, cap, "domination degree search")
-    gamma = domination_number(g, cap)
-    degrees = []
-    witnesses = []
-    for v in range(g.n):
-        size, mask = _search(kern, g, v, gamma)
-        degrees.append(size)
-        witnesses.append(VertexSet(g.n, mask))
-    return gamma, degrees, witnesses
+    hits = _search_all(_kernels(g, cap, "domination degree search"), g)
+    degrees = [size for size, _ in hits]
+    return min(degrees), degrees, [VertexSet(g.n, mask) for _, mask in hits]
 
 
 @dataclass(frozen=True)
@@ -251,9 +262,10 @@ def _check_profile(g: Graph, p: DominationProfile) -> None:
 
 def enumerate_minimal_dominating_sets(g: Graph) -> Iterator[VertexSet]:
     """Every minimal dominating set once, smallest cardinality first,
-    ties broken by ascending mask value."""
-    for mask in _walk(g, DEFAULT_EXACT_CAP, "minimal dominating set enumeration", minimal_sets=True):
-        yield VertexSet(g.n, mask)
+    ties broken by ascending mask value. The guards and the walk run at
+    the call, so a graph over the cap fails here, not at the first item."""
+    masks = _walk(g, DEFAULT_EXACT_CAP, "minimal dominating set enumeration", minimal_sets=True)
+    return (VertexSet(g.n, mask) for mask in masks)
 
 
 def mds_containing_greedy(g: Graph, v: int) -> VertexSet:

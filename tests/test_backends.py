@@ -20,7 +20,7 @@ import pytest
 
 from domindex import FamilySpec, _pykern, backend, generate
 from domindex.backend import backend_name, kernels_for
-from domindex.engine import is_dominating, is_irredundant
+from domindex.engine import _gamma_lower_bound, is_dominating, is_irredundant
 from domindex.graph import VertexSet
 from domindex.ops import disjoint_union, product
 from domindex.verify import enumerate_labeled_graphs, random_graph
@@ -68,6 +68,25 @@ def test_solve_dd_identical_results_and_witnesses(compiled):
             a = _pykern.solve_dd(closed, v, lo, g.n)
             b = compiled.solve_dd(closed, v, lo, g.n)
             assert a == b == compiled.solve_dd(g.closed_adj, v, lo, g.n), (g.edges(), v)
+
+
+def _per_vertex(kern, closed):
+    gamma = kern.solve_dd(closed, -1, 0, len(closed))[0]
+    return [kern.solve_dd(closed, v, gamma, len(closed)) for v in range(len(closed))]
+
+
+def test_sweep_equals_per_vertex_search(compiled, graph_classes_7):
+    # one sweep per stage gives each vertex the hit of its own staged search
+    graphs = corpus() + [g for g, _ in graph_classes_7]
+    for g in graphs:
+        closed = list(g.closed_adj)
+        k_lo = _gamma_lower_bound(g)
+        expected = _per_vertex(compiled, closed)
+        assert _pykern.solve_dd_all(closed, k_lo) == expected, g.edges()
+        assert compiled.solve_dd_all(closed, k_lo) == compiled.solve_dd_all(g.closed_adj, 0) == expected
+    for kern in (_pykern, compiled):
+        with pytest.raises(ValueError):
+            kern.solve_dd_all([], 0)
 
 
 def test_scans_identical(compiled):
@@ -148,10 +167,13 @@ def test_word_width_boundary_identical(compiled):
                     assert _pykern.solve_dd(closed, v, k_lo, n) == compiled.solve_dd(
                         closed, v, k_lo, n
                     ), (n, closed is path, v, k_lo)
+            assert _pykern.solve_dd_all(closed, 1) == compiled.solve_dd_all(closed, 1), n
     # v = 2: stages 1-21 all fail before dd(2) = 22; only the bounds keep that short
     assert _pykern.solve_dd(paths[63], 2, 1, 63) == compiled.solve_dd(paths[63], 2, 1, 63)
     with pytest.raises(ValueError):
         compiled.solve_dd([1 << i for i in range(65)], -1, 0, 65)
+    with pytest.raises(ValueError):
+        compiled.solve_dd_all([1 << i for i in range(65)], 0)
     for kern in (_pykern, compiled):
         with pytest.raises(ValueError):
             kern.solve_dd([], -1, 0, 0)
@@ -174,12 +196,14 @@ def test_signal_interrupts_compiled_search(compiled):
     # 22 disjoint edges and the rook's graph K4 x K4: gamma = 22 + 4. Stage
     # 25 tries each of the 2^22 ways to dominate the edges and then fails on
     # the rook's graph, an exhaustive search of 23-29 s (2-vCPU VM,
-    # gcc -O2); the handler must run long before it ends. Every subset of
-    # 26 isolated vertices is irredundant and only the whole set is maximal,
-    # so the irredundance walk visits all 2^26 subsets (2.8 s on that VM).
+    # gcc -O2), in both the staged search and the sweep; the handler must
+    # run long before it ends. Every subset of 26 isolated vertices is
+    # irredundant and only the whole set is maximal, so the irredundance
+    # walk visits all 2^26 subsets (2.8 s on that VM).
     k2, k4 = (generate(FamilySpec("complete", (m,))).graph for m in (2, 4))
     closed = list(disjoint_union([k2] * 22 + [product(k4, k4, "cartesian")]).closed_adj)
     calls = [lambda: compiled.solve_dd(closed, -1, 25, 25),
+             lambda: compiled.solve_dd_all(closed, 25),
              lambda: compiled.scan_irredundance([1 << i for i in range(26)])]
     old = signal.signal(signal.SIGALRM, handler)
     try:

@@ -163,7 +163,9 @@ def test_exit_codes(tmp_path, monkeypatch):
         run(["verify", "--suite", "bogus"])
     assert exc.value.code == 1
     # a search that finds no set breaks an invariant: a bug, not bad input
-    monkeypatch.setattr(engine.kernels_for(9), "solve_dd", lambda *args: None)
+    kern = engine.kernels_for(9)
+    monkeypatch.setattr(kern, "solve_dd", lambda *args: None)
+    monkeypatch.setattr(kern, "solve_dd_all", lambda closed, k_lo: [None] * len(closed))
     for argv in (["degree", "--in", F9, "--vertex", "a2"], ["analyze", "--in", F9]):
         code, out, err = run(argv)
         assert (code, out) == (5, ""), argv

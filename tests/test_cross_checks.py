@@ -83,14 +83,14 @@ def test_profile_runs_one_subset_scan(monkeypatch):
                 return getattr(kern, name)(*args)
             return call
 
-        names = ("solve_dd", "scan_minimal_ds", "scan_irredundance")
+        names = ("solve_dd", "solve_dd_all", "scan_minimal_ds", "scan_irredundance")
         return SimpleNamespace(**{name: wrap(name) for name in names})
 
     monkeypatch.setattr(engine, "kernels_for", counting)
     g = random_graph(9, 0.4, 7)
     domination_profile(g)
-    # one γ search and one search per vertex, then the one scan
-    assert calls == {"solve_dd": g.n + 1, "scan_irredundance": 1}
+    # the one scan, then one sweep for γ and every vertex's degree
+    assert calls == {"solve_dd_all": 1, "scan_irredundance": 1}
 
 
 def test_families_full_grid_and_ledger(tmp_path):

@@ -150,6 +150,14 @@ def test_guards_run_before_any_kernel_work(monkeypatch):
         domination_profile(new_graph(27, []), cap=30)
 
 
+def test_enumeration_guards_run_at_the_call():
+    # the error comes from the call itself, before any item is asked for
+    with pytest.raises(ExactCapExceeded):
+        enumerate_minimal_dominating_sets(new_graph(30, []))
+    with pytest.raises(VertexOutOfRange):
+        enumerate_minimal_dominating_sets(new_graph(0, []))
+
+
 # domination degree --------------------------------------------------------
 
 def test_domination_degree_examples(f9_by_label, petersen):
