@@ -28,7 +28,9 @@ solve_dd(closed, v, k_lo, k_hi)
         uncovered count.
     Neither count can exceed the budget unless more vertices are
     uncovered than the budget, so otherwise only the test for a vertex
-    with no later dominator runs.
+    with no later dominator runs. This twin tests a set against the
+    bounds before it enters the set (the root once per stage), and the
+    compiled twin on entry, so both extend the same sets.
     Neither bound prunes a branch that reaches a hit, and candidate
     order is fixed, so the bounds change the search's cost, not its
     result. Returns (size, member_mask) of the first hit, which is
@@ -104,79 +106,78 @@ def solve_dd(closed, v, k_lo, k_hi):
     if n < 1:
         raise ValueError("python kernel handles 1 or more vertices, got 0")
     full = (1 << n) - 1
-    base = [v] if v >= 0 else []
-    lo = max(k_lo, len(base))
-    for k in range(lo, k_hi + 1):
-        hit = _stage(closed, n, full, v, k)
+    reach = _reach(closed, n)
+    if v >= 0:
+        root = full & ~closed[v], 1 << v, [closed[v]]
+    else:
+        root = full, 0, []
+    for k in range(max(k_lo, len(root[2])), k_hi + 1):
+        hit = _stage(closed, n, reach, k, *root)
         if hit is not None:
             return hit
     return None
 
 
-def _stage(closed, n, full, v, k):
+def _cut(closed, start, unc, slots):
+    """Whether the packing or budget bound cuts a set that leaves ``unc``
+    uncovered and may add ``slots`` more vertices, all from id ``start``
+    up. The caller has checked that such a vertex dominates each vertex
+    of ``unc``, and that ``unc`` has more vertices than ``slots``: with
+    no more, neither bound can count past ``slots``."""
+    later = -1 << start  # ids start and up
+    # packing bound: uncovered vertices that share no later dominator each
+    # need an added vertex of their own
+    packed = 0
+    rest = unc
+    while rest:
+        packed += 1
+        if packed > slots:
+            return True
+        doms = closed[(rest & -rest).bit_length() - 1] & later
+        while doms:
+            low = doms & -doms
+            rest &= ~closed[low.bit_length() - 1]
+            doms ^= low
+    # budget bound over later candidates: the best `slots` gains must
+    # reach the uncovered count
+    caps = sorted([(c & unc).bit_count() for c in closed[start:]], reverse=True)
+    return sum(caps[:slots]) < unc.bit_count()
+
+
+def _stage(closed, n, reach, k, unc, mask, privs):
     # privs: the private territory of each chosen vertex, in the order
     # chosen. Each level gets its own list, so backtracking undoes nothing.
-    def rec(start, cover, mask, privs):
-        if cover == full:
-            return len(privs), mask
-        slots = k - len(privs)
-        if slots <= 0:
-            return None
-        unc = full & ~cover
-        # later: the vertices this branch may still add, from id start up.
-        # v among them is harmless: N[v] is covered, so v dominates no
-        # uncovered vertex
-        later = full >> start << start
-        need = unc.bit_count()
-        rest = unc
-        if need <= slots:
-            # neither bound can count past `slots`: only an uncovered vertex
-            # with no later dominator prunes
-            while rest:
-                low = rest & -rest
-                if not closed[low.bit_length() - 1] & later:
-                    return None
-                rest ^= low
-        else:
-            # packing bound: uncovered vertices that share no later
-            # dominator each need an added vertex of their own
-            packed = 0
-            while rest:
-                doms = closed[(rest & -rest).bit_length() - 1] & later
-                if not doms:
-                    return None
-                packed += 1
-                if packed > slots:
-                    return None
-                while doms:
-                    low = doms & -doms
-                    rest &= ~closed[low.bit_length() - 1]
-                    doms ^= low
-            # budget bound over later candidates: the best `slots` gains
-            # must reach `need`
-            caps = [(c & unc).bit_count() for c in closed[start:]]
-            caps.sort(reverse=True)
-            if sum(caps[:slots]) < need:
-                return None
+    # rec extends a set that passed the bounds, and tests each child
+    # before it builds the child's list or descends.
+    def rec(start, uncovered, mask, privs):
+        slots = k - len(privs) - 1  # left to a child
         for x in range(start, n):
-            if x == v:
-                continue
             cx = closed[x]
-            gain = cx & ~cover
+            gain = cx & uncovered
             if not gain:
-                continue  # x would arrive with empty private territory
+                continue  # x would arrive with empty private territory, as v always does
+            unc = uncovered ^ gain
+            if unc and (not slots or unc & ~reach[x + 1]):
+                continue  # no slot left, or an uncovered vertex with no later dominator
             kept = [p & ~cx for p in privs]
             if 0 in kept:
                 continue  # x would take a member's last private vertex
+            if not unc:
+                return len(kept) + 1, mask | 1 << x
+            if unc.bit_count() > slots and _cut(closed, x + 1, unc, slots):
+                continue
             kept.append(gain)
-            hit = rec(x + 1, cover | cx, mask | 1 << x, kept)
+            hit = rec(x + 1, unc, mask | 1 << x, kept)
             if hit is not None:
                 return hit
         return None
 
-    if v >= 0:
-        return rec(0, closed[v], 1 << v, [closed[v]])
-    return rec(0, 0, 0, [])
+    if not unc:
+        return len(privs), mask
+    slots = k - len(privs)
+    if slots <= 0 or unc.bit_count() > slots and _cut(closed, 0, unc, slots):
+        return None
+    return rec(0, unc, mask, privs)
 
 
 def solve_dd_all(closed, k_lo):
@@ -184,77 +185,54 @@ def solve_dd_all(closed, k_lo):
     if n < 1:
         raise ValueError("python kernel handles 1 or more vertices, got 0")
     full = (1 << n) - 1
+    reach = _reach(closed, n)
     found = [None] * n
     todo = full
     for k in range(max(k_lo, 1), n + 1):
-        todo = _sweep(closed, n, full, k, found, todo)
+        todo = _sweep(closed, n, full, reach, k, found, todo)
         if not todo:
             break
     return found
 
 
-def _sweep(closed, n, full, k, found, todo):
-    # One stage of solve_dd_all: _stage's walk and bounds with no fixed
+def _sweep(closed, n, full, reach, k, found, todo):
+    # One stage of solve_dd_all: _stage's walk and tests with no fixed
     # vertex. It records each dominating set it reaches as found[u] for
     # its members u still in `todo`, and returns the vertices left there.
-    def rec(start, cover, mask, privs):
+    def rec(start, uncovered, mask, privs):
         nonlocal todo
-        if cover == full:
-            hits = mask & todo
-            if hits:
+        slots = k - len(privs) - 1
+        for x in range(start, n):
+            cx = closed[x]
+            gain = cx & uncovered
+            if not gain:
+                continue
+            unc = uncovered ^ gain
+            if unc:
+                if not slots or unc & ~reach[x + 1] or not (mask | -1 << x) & todo:
+                    continue  # as in _stage, or no set below the child has a member to serve
+            elif not (mask | 1 << x) & todo:
+                continue  # a dominating set with no member to serve
+            kept = [p & ~cx for p in privs]
+            if 0 in kept:
+                continue
+            if not unc:
+                hits = (mask | 1 << x) & todo
                 todo ^= hits
-                hit = len(privs), mask
+                hit = len(kept) + 1, mask | 1 << x
                 while hits:
                     low = hits & -hits
                     found[low.bit_length() - 1] = hit
                     hits ^= low
-            return
-        slots = k - len(privs)
-        if slots <= 0:
-            return
-        later = full >> start << start
-        if not (mask | later) & todo:
-            return  # no set on this branch has a member still to serve
-        unc = full & ~cover
-        need = unc.bit_count()
-        rest = unc
-        if need <= slots:
-            while rest:
-                low = rest & -rest
-                if not closed[low.bit_length() - 1] & later:
-                    return
-                rest ^= low
-        else:
-            packed = 0
-            while rest:
-                doms = closed[(rest & -rest).bit_length() - 1] & later
-                if not doms:
-                    return
-                packed += 1
-                if packed > slots:
-                    return
-                while doms:
-                    low = doms & -doms
-                    rest &= ~closed[low.bit_length() - 1]
-                    doms ^= low
-            caps = [(c & unc).bit_count() for c in closed[start:]]
-            caps.sort(reverse=True)
-            if sum(caps[:slots]) < need:
-                return
-        for x in range(start, n):
-            cx = closed[x]
-            gain = cx & ~cover
-            if not gain:
-                continue
-            kept = [p & ~cx for p in privs]
-            if 0 in kept:
-                continue
-            kept.append(gain)
-            rec(x + 1, cover | cx, mask | 1 << x, kept)
+            elif unc.bit_count() <= slots or not _cut(closed, x + 1, unc, slots):
+                kept.append(gain)
+                rec(x + 1, unc, mask | 1 << x, kept)
             if not todo:
                 return
 
-    rec(0, 0, 0, [])
+    # the root: the empty set, which leaves all n vertices uncovered
+    if k >= n or not _cut(closed, 0, full, k):
+        rec(0, full, 0, [])
     return todo
 
 

@@ -89,6 +89,22 @@ def test_sweep_equals_per_vertex_search(compiled, graph_classes_7):
             kern.solve_dd_all([], 0)
 
 
+def test_stage_boundaries(compiled):
+    # searches up to n hide a bound that cuts a hit inside a stage: the next
+    # stage then finds a set. Here each stage must decide on its own.
+    for kern in (_pykern, compiled):
+        for g in corpus():
+            closed = list(g.closed_adj)
+            for v in [-1] + list(range(g.n)):
+                hit = kern.solve_dd(closed, v, 0, g.n)
+                dd = hit[0]
+                assert kern.solve_dd(closed, v, 0, dd - 1) is None, (g.edges(), v)
+                assert kern.solve_dd(closed, v, dd, dd) == hit, (g.edges(), v)
+                assert kern.solve_dd(closed, v, dd + 1, dd) is None
+            gamma = kern.solve_dd(closed, -1, 0, g.n)[0]
+            assert kern.solve_dd_all(closed, gamma) == kern.solve_dd_all(closed, _gamma_lower_bound(g))
+
+
 def test_scans_identical(compiled):
     for g in corpus():
         closed = list(g.closed_adj)
