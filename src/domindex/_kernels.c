@@ -1,9 +1,11 @@
 /* Compiled search kernels.
 
    Twin of _pykern (see its docstring for the kernel contract): same
-   candidate order, same pruning, same results and witnesses. Restricted
-   to graphs with at most 64 vertices, so every mask fits one machine
-   word. Long searches and walks poll for signals, so Ctrl-C stops them.
+   candidate order, same pruning, same results and witnesses. One stage
+   walk serves both searches, from three seeds: solve_dd(v) at the root
+   {v}, solve_dd(-1) and solve_dd_all at the root ∅. Restricted to
+   graphs with at most 64 vertices, so every mask fits one machine word.
+   Long searches and walks poll for signals, so Ctrl-C stops them.
 
    Build with `python setup.py build_ext --inplace`. */
 
@@ -47,16 +49,20 @@ read_closed(PyObject *closed, u64 *cl, int maxn, const char *what)
     return (int)n;
 }
 
-/* One stage of the staged search: a depth-first extension of the base
-   set to at most k vertices. priv[d] holds, for a set of d chosen
-   vertices, the private territory of each of them in the order chosen;
-   each depth has its own row, so backtracking restores nothing. todo:
-   the vertices solve_dd_all has found no set for yet. */
+/* The stage walk (see the kernel contract in _pykern): one stage
+   extends the root to at most k vertices. priv[d] holds, for a set of d
+   chosen vertices, the private territory of each of them in the order
+   chosen; each depth has its own row, so backtracking restores nothing.
+   root: the seed set, at most one vertex, whose closed neighbourhood is
+   `cover`. todo: the open vertices; wild: the open vertices that every
+   dominating set serves, member or not. A dominating set that serves u
+   sets size[u] and found[u]. */
 typedef struct {
-    int n, k, v;
-    u64 full, nodes, todo;
+    int n, k;
+    u64 full, nodes, root, cover, todo, wild;
     u64 closed[MAXN];
-    int chosen[MAXN];
+    int size[MAXN];
+    u64 found[MAXN];
     u64 priv[MAXN + 1][MAXN];
 } Search;
 
@@ -131,69 +137,82 @@ admit(Search *s, int depth, int x, u64 cover)
     return 1;
 }
 
-/* The vertices above `last`: those a branch may still add. */
-static inline u64
-above(const Search *s, int last)
-{
-    int next = last + 1;
-    return next < s->n ? s->full >> next << next : 0;
-}
-
-/* The size of the first hit that extends chosen[0..depth) (chosen[] then
-   holds it), 0 when there is none, -1 when a signal handler raised.
-   Candidates ascend by id, so a branch may add only vertices above
-   `last`, and the first hit is the lexicographically least. v's bit in
-   `later` is harmless, as N[v] is covered and so dominates no uncovered
-   vertex. */
+/* One stage of the walk below the set `mask` of `depth` chosen vertices,
+   which covers `cover`. Candidates ascend by id, so a branch may add
+   only vertices above `last`, and sets arrive in lexicographic order.
+   The bit of a root vertex in `later` is harmless, as its closed
+   neighbourhood is covered and so dominates no uncovered vertex. 0, or
+   -1 when a signal handler raised. */
 static int
-dfs(Search *s, int depth, int last, u64 cover)
-{
-    if ((++s->nodes & POLL) == 0 && PyErr_CheckSignals() < 0)
-        return -1;
-    if (cover == s->full)
-        return depth;
-    if (pruned(s, depth, cover, above(s, last)))
-        return 0;
-    for (int x = last + 1; x < s->n; x++) {
-        if (x == s->v || !admit(s, depth, x, cover))
-            continue;
-        s->chosen[depth] = x;
-        int hit = dfs(s, depth + 1, x, cover | s->closed[x]);
-        if (hit != 0)
-            return hit;
-    }
-    return 0;
-}
-
-/* One stage of solve_dd_all: dfs with no fixed vertex, which does not
-   stop at a hit but sets size[u] and found[u] for each of its members u
-   still in s->todo, and prunes a branch none of whose sets has such a
-   member. Stops once s->todo is empty. 0, or -1 when a signal handler
-   raised. */
-static int
-sweep(Search *s, int depth, int last, u64 cover, u64 mask, int *size, u64 *found)
+walk(Search *s, int depth, int last, u64 cover, u64 mask)
 {
     if ((++s->nodes & POLL) == 0 && PyErr_CheckSignals() < 0)
         return -1;
     if (cover == s->full) {
-        u64 hits = mask & s->todo;
+        u64 hits = (mask | s->wild) & s->todo;
         s->todo &= ~hits;
         for (; hits != 0; hits &= hits - 1) {
-            size[CTZ(hits)] = depth;
-            found[CTZ(hits)] = mask;
+            s->size[CTZ(hits)] = depth;
+            s->found[CTZ(hits)] = mask;
         }
         return 0;
     }
-    u64 later = above(s, last);
-    if (((mask | later) & s->todo) == 0 || pruned(s, depth, cover, later))
+    int next = last + 1;  /* later: the vertices a branch may still add */
+    u64 later = next < s->n ? s->full >> next << next : 0;
+    if (((mask | later | s->wild) & s->todo) == 0 || pruned(s, depth, cover, later))
         return 0;
     for (int x = last + 1; x < s->n && s->todo != 0; x++) {
         if (!admit(s, depth, x, cover))
             continue;
-        if (sweep(s, depth + 1, x, cover | s->closed[x], mask | 1ULL << x, size, found) < 0)
+        if (walk(s, depth + 1, x, cover | s->closed[x], mask | 1ULL << x) < 0)
             return -1;
     }
     return 0;
+}
+
+/* Reads the graph and seeds the walk: for v >= 0 the root {v} with
+   only v open, for v < 0 the root ∅ with every vertex open. 0, or -1
+   with an exception set. */
+static int
+seed(Search *s, PyObject *closed, int v, u64 wild)
+{
+    s->n = read_closed(closed, s->closed, MAXN, "compiled kernel");
+    if (s->n < 0)
+        return -1;
+    if (v >= s->n) {
+        PyErr_Format(PyExc_IndexError, "vertex %d out of range for %d vertices", v, s->n);
+        return -1;
+    }
+    s->full = s->n == 64 ? ~0ULL : (1ULL << s->n) - 1;
+    s->nodes = 0;
+    s->root = v < 0 ? 0 : 1ULL << v;
+    s->priv[1][0] = s->cover = v < 0 ? 0 : s->closed[v];
+    s->todo = v < 0 ? s->full : s->root;
+    s->wild = wild;
+    return 0;
+}
+
+/* Stages k = max(k_lo, 1) .. k_hi of the walk, until no vertex is open.
+   0, or -1 when a signal handler raised. */
+static int
+stages(Search *s, int k_lo, int k_hi)
+{
+    for (s->k = k_lo < 1 ? 1 : k_lo; s->k <= k_hi && s->todo != 0; s->k++) {
+        if (walk(s, POPCOUNT(s->root), -1, s->cover, s->root) < 0)
+            return -1;
+        if (s->k >= s->n)
+            break;  /* every stage above n walks the same tree as stage n */
+    }
+    return 0;
+}
+
+/* (size[u], found[u]), or None when no set served u. */
+static PyObject *
+served(const Search *s, int u)
+{
+    if (s->todo >> u & 1)
+        Py_RETURN_NONE;
+    return Py_BuildValue("(iK)", s->size[u], s->found[u]);
 }
 
 /* *out = o as a C int, or -1 with an exception set. */
@@ -211,8 +230,9 @@ as_int(PyObject *o, int *out)
     return 0;
 }
 
-/* Vectorcall with hand-parsed arguments: degree vectors make one call
-   per vertex, and most calls end in the first stage. */
+/* Vectorcall with hand-parsed arguments: the per-vertex degree queries
+   (domination_degree_witness, mds_containing_greedy) make one call each,
+   and most calls end in the first stage. */
 static PyObject *
 solve_dd(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -224,75 +244,28 @@ solve_dd(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     }
     if (as_int(args[1], &v) < 0 || as_int(args[2], &k_lo) < 0 || as_int(args[3], &k_hi) < 0)
         return NULL;
-    s.n = read_closed(args[0], s.closed, MAXN, "compiled kernel");
-    if (s.n < 0)
+    /* for v < 0, the first set reached serves every vertex */
+    if (seed(&s, args[0], v, v < 0 ? ~0ULL : 0) < 0 || stages(&s, k_lo, k_hi) < 0)
         return NULL;
-    if (v >= s.n) {
-        PyErr_Format(PyExc_IndexError, "vertex %d out of range for %d vertices", v, s.n);
-        return NULL;
-    }
-    s.v = v;
-    s.full = s.n == 64 ? ~0ULL : (1ULL << s.n) - 1;
-    s.nodes = 0;
-    int lo = k_lo < 0 ? 0 : k_lo, base = 0;
-    u64 cover = 0;
-    if (v >= 0) {
-        if (lo < 1)
-            lo = 1;
-        s.chosen[0] = v;
-        s.priv[1][0] = cover = s.closed[v];
-        base = 1;
-    }
-    for (s.k = lo; s.k <= k_hi; s.k++) {
-        int size = dfs(&s, base, -1, cover);
-        if (size < 0)
-            return NULL;
-        if (size > 0) {
-            u64 mask = 0;
-            for (int i = 0; i < size; i++)
-                mask |= 1ULL << s.chosen[i];
-            PyObject *out = PyTuple_New(2);
-            if (out == NULL)
-                return NULL;
-            PyTuple_SET_ITEM(out, 0, PyLong_FromLong(size));
-            PyTuple_SET_ITEM(out, 1, PyLong_FromUnsignedLongLong(mask));
-            if (PyTuple_GET_ITEM(out, 0) == NULL || PyTuple_GET_ITEM(out, 1) == NULL)
-                Py_CLEAR(out);
-            return out;
-        }
-        if (s.k >= s.n)
-            break;  /* every stage above n searches the same tree as stage n */
-    }
-    Py_RETURN_NONE;
+    return served(&s, v < 0 ? 0 : v);
 }
 
-/* solve_dd_all(closed, k_lo): stages k = max(k_lo, 1) .. n of sweep,
-   until every vertex has its set. */
+/* solve_dd_all(closed, k_lo): stages k_lo .. n from the root ∅. */
 static PyObject *
 solve_dd_all(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    int k_lo, size[MAXN];
-    u64 found[MAXN];
+    int k_lo;
     Search s;
     if (nargs != 2) {
         PyErr_Format(PyExc_TypeError, "solve_dd_all expected 2 arguments, got %zd", nargs);
         return NULL;
     }
-    if (as_int(args[1], &k_lo) < 0)
+    /* a set serves its own members */
+    if (as_int(args[1], &k_lo) < 0 || seed(&s, args[0], -1, 0) < 0 || stages(&s, k_lo, s.n) < 0)
         return NULL;
-    s.n = read_closed(args[0], s.closed, MAXN, "compiled kernel");
-    if (s.n < 0)
-        return NULL;
-    s.v = -1;
-    s.full = s.todo = s.n == 64 ? ~0ULL : (1ULL << s.n) - 1;
-    s.nodes = 0;
-    for (s.k = k_lo < 1 ? 1 : k_lo; s.k <= s.n && s.todo != 0; s.k++)
-        if (sweep(&s, 0, -1, 0, 0, size, found) < 0)
-            return NULL;
     PyObject *out = PyList_New(s.n);
     for (int u = 0; out != NULL && u < s.n; u++) {
-        PyObject *hit = s.todo >> u & 1 ? Py_NewRef(Py_None)
-                                        : Py_BuildValue("(iK)", size[u], found[u]);
+        PyObject *hit = served(&s, u);
         if (hit == NULL)
             Py_CLEAR(out);
         else

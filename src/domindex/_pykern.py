@@ -9,47 +9,52 @@ lets this twin handle graphs wider than 64 vertices.
 Kernel contract
 ---------------
 solve_dd(closed, v, k_lo, k_hi)
-    Staged search for a smallest irredundant dominating set, optionally
-    constrained to contain vertex ``v`` (pass -1 for unconstrained).
-    Stages run k = max(k_lo, |base|) .. k_hi; within a stage the search
-    is a depth-first extension of the base set, candidates in ascending
-    id (combination order), pruning any partial set that stops being
-    irredundant. A branch may add only candidates above the last one it
-    added, and two lower bounds on the vertices it must still add count
-    only those later candidates. With a budget of k minus the set's
-    size, a branch is pruned when
-      - packing: walking the uncovered vertices lowest first and taking
-        each one that shares no later dominator with one already taken
-        (the 2-packing bound ρ ≤ γ) takes more vertices than the budget,
-        as each needs a dominator of its own; a vertex with no later
-        dominator prunes at once;
-      - budget: the largest gains (uncovered vertices dominated) of as
-        many later candidates as the budget add up to less than the
-        uncovered count.
-    Neither count can exceed the budget unless more vertices are
-    uncovered than the budget, so otherwise only the test for a vertex
-    with no later dominator runs. This twin tests a set against the
-    bounds before it enters the set (the root once per stage), and the
-    compiled twin on entry, so both extend the same sets.
-    Neither bound prunes a branch that reaches a hit, and candidate
-    order is fixed, so the bounds change the search's cost, not its
-    result. Returns (size, member_mask) of the first hit, which is
-    therefore the lexicographically least witness of minimum size, or
-    None when no stage succeeds.
+    (size, member_mask) of the first irredundant dominating set that
+    contains vertex ``v`` (pass -1 for any set) in stages k = k_lo ..
+    k_hi of the stage walk below, or None when no stage reaches one.
+    No stage below the smallest such set's size reaches one, so when k_lo
+    is at most that size this is the lexicographically least witness of
+    minimum size. Seed: the root {v} with N[v] covered, and only v open;
+    for v = -1, the root ∅ with every vertex open, where the first set
+    reached serves them all.
 
 solve_dd_all(closed, k_lo)
     solve_dd(closed, v, γ, n) for every vertex v, as a list indexed by v,
-    from one walk per stage k = max(k_lo, 1) .. n instead of one per
-    vertex; k_lo must not exceed γ. A stage walks the tree of a stage of
-    solve_dd with no fixed vertex, under the same bounds. It does not
-    stop at a hit: it records (size, member_mask) of each dominating set
-    it reaches for every member not yet served, and does not extend that
-    set. It also prunes a branch whose set and later candidates hold no
-    vertex still to serve, and stops once every vertex is served. Sets
-    arrive in lexicographic order of their sorted ids, and a vertex still
-    unserved at stage k is in no minimal dominating set smaller than k,
-    so each record is that vertex's solve_dd witness. A vertex in no
-    minimal dominating set gets None.
+    from stages k_lo .. n instead of one search per vertex; k_lo must not
+    exceed γ. Seed: the root ∅ with every vertex open, where a set serves
+    its own members. A vertex still open at stage k is in no minimal
+    dominating set smaller than k, so each record is that vertex's
+    solve_dd witness. A vertex in no minimal dominating set gets None.
+
+The stage walk. Stages run k = max(k_lo, 1) .. k_hi until no vertex is
+open; a stage above n searches the tree of stage n, so at most one of
+them runs. A stage is a depth-first extension of the root to at most k
+vertices, candidates in ascending id (combination order), pruning any
+partial set that stops being irredundant. A branch may add only
+candidates above the last one it added, and two lower bounds on the
+vertices it must still add count only those later candidates. With a
+budget of k minus the set's size, a branch is pruned when
+  - packing: walking the uncovered vertices lowest first and taking
+    each one that shares no later dominator with one already taken
+    (the 2-packing bound ρ ≤ γ) takes more vertices than the budget,
+    as each needs a dominator of its own; a vertex with no later
+    dominator prunes at once;
+  - budget: the largest gains (uncovered vertices dominated) of as
+    many later candidates as the budget add up to less than the
+    uncovered count.
+Neither count can exceed the budget unless more vertices are uncovered
+than the budget, so otherwise only the test for a vertex with no later
+dominator runs. Neither bound prunes a branch that reaches a dominating
+set. The stage records each dominating set it reaches as
+(size, member_mask) for the open vertices that the set serves, closes
+them, and does not extend the set. It also prunes a branch none of
+whose sets can serve an open vertex, and stops once no vertex is open.
+Sets arrive in lexicographic order of their sorted ids, and candidate
+order is fixed, so the bounds change the walk's cost, not its records:
+each is the first set of the first stage that serves the vertex. This
+twin tests a set against the bounds before it enters the set (the root
+once per stage), and the compiled twin on entry, so both extend the
+same sets.
 
 scan_minimal_ds(closed)
     Every minimal dominating set, found by a walk of irredundant sets,
@@ -66,10 +71,10 @@ scan_irredundance(closed)
 Both walks visit irredundant sets depth first, each at most once: a set
 is extended only by a vertex above its highest member, and only when
 every member, the new one included, keeps a private vertex (as in the
-stages of ``solve_dd``, without their bounds). Irredundance is
-hereditary, so the walk reaches every irredundant set that no bound cuts
-off. No vertex added to a dominating set has a private vertex, so a
-dominating set is never extended.
+stage walk, without its bounds). Irredundance is hereditary, so the walk
+reaches every irredundant set that no bound cuts off. No vertex added to
+a dominating set has a private vertex, so a dominating set is never
+extended.
 
 ``scan_minimal_ds`` records each dominating set it reaches. It skips a
 branch in which some uncovered vertex has no dominator among the later
@@ -91,8 +96,9 @@ the set is smaller than the best ir so far. Memory is O(n^2) words plus
 the output.
 
 Every function raises ValueError for a graph with no vertices, and the
-scans also for one over 26 vertices. Only ``solve_dd`` and
-``solve_dd_all`` of this twin take graphs over 64 vertices.
+scans also for one over 26 vertices; ``solve_dd`` raises IndexError for
+v >= n. Only ``solve_dd`` and ``solve_dd_all`` of this twin take graphs
+over 64 vertices.
 """
 
 from __future__ import annotations
@@ -102,20 +108,13 @@ _MAX_SCAN = 26  # as in the compiled twin: a walk of irredundant sets is exponen
 
 
 def solve_dd(closed, v, k_lo, k_hi):
-    n = len(closed)
-    if n < 1:
-        raise ValueError("python kernel handles 1 or more vertices, got 0")
-    full = (1 << n) - 1
-    reach = _reach(closed, n)
-    if v >= 0:
-        root = full & ~closed[v], 1 << v, [closed[v]]
-    else:
-        root = full, 0, []
-    for k in range(max(k_lo, len(root[2])), k_hi + 1):
-        hit = _stage(closed, n, reach, k, *root)
-        if hit is not None:
-            return hit
-    return None
+    # for v < 0, the first set reached serves every vertex
+    return _walk(closed, v, -1 if v < 0 else 0, k_lo, k_hi)[max(v, 0)]
+
+
+def solve_dd_all(closed, k_lo):
+    # a set serves its own members
+    return _walk(closed, -1, 0, k_lo, len(closed))
 
 
 def _cut(closed, start, unc, slots):
@@ -144,96 +143,69 @@ def _cut(closed, start, unc, slots):
     return sum(caps[:slots]) < unc.bit_count()
 
 
-def _stage(closed, n, reach, k, unc, mask, privs):
+def _walk(closed, v, wild, k_lo, k_hi):
+    """Stages k_lo .. k_hi of the stage walk from the root {v} with only v
+    open, or for v < 0 from the root ∅ with every vertex open. A
+    dominating set serves its open members and the open vertices in
+    ``wild``. Returns found[u], the (size, member_mask) that served u, or
+    None."""
+    n = len(closed)
+    if n < 1:
+        raise ValueError("python kernel handles 1 or more vertices, got 0")
+    full = (1 << n) - 1
+    if v < 0:
+        unc, mask, privs, todo = full, 0, [], full
+    else:
+        unc, mask, privs, todo = full & ~closed[v], 1 << v, [closed[v]], 1 << v
+    reach = _reach(closed, n)
+    found = [None] * n
+
+    def serve(size, mask):
+        nonlocal todo
+        hits = (mask | wild) & todo
+        todo ^= hits
+        while hits:
+            low = hits & -hits
+            found[low.bit_length() - 1] = size, mask
+            hits ^= low
+
     # privs: the private territory of each chosen vertex, in the order
     # chosen. Each level gets its own list, so backtracking undoes nothing.
     # rec extends a set that passed the bounds, and tests each child
     # before it builds the child's list or descends.
     def rec(start, uncovered, mask, privs):
         slots = k - len(privs) - 1  # left to a child
+        held = (mask | wild) & todo  # open vertices that every set below serves
         for x in range(start, n):
             cx = closed[x]
             gain = cx & uncovered
             if not gain:
                 continue  # x would arrive with empty private territory, as v always does
             unc = uncovered ^ gain
-            if unc and (not slots or unc & ~reach[x + 1]):
-                continue  # no slot left, or an uncovered vertex with no later dominator
+            # no slot left, an uncovered vertex with no later dominator, or
+            # no set below the child that serves an open vertex
+            if unc and (not slots or unc & ~reach[x + 1] or not (held or todo >> x)):
+                continue
             kept = [p & ~cx for p in privs]
             if 0 in kept:
                 continue  # x would take a member's last private vertex
             if not unc:
-                return len(kept) + 1, mask | 1 << x
-            if unc.bit_count() > slots and _cut(closed, x + 1, unc, slots):
-                continue
-            kept.append(gain)
-            hit = rec(x + 1, unc, mask | 1 << x, kept)
-            if hit is not None:
-                return hit
-        return None
-
-    if not unc:
-        return len(privs), mask
-    slots = k - len(privs)
-    if slots <= 0 or unc.bit_count() > slots and _cut(closed, 0, unc, slots):
-        return None
-    return rec(0, unc, mask, privs)
-
-
-def solve_dd_all(closed, k_lo):
-    n = len(closed)
-    if n < 1:
-        raise ValueError("python kernel handles 1 or more vertices, got 0")
-    full = (1 << n) - 1
-    reach = _reach(closed, n)
-    found = [None] * n
-    todo = full
-    for k in range(max(k_lo, 1), n + 1):
-        todo = _sweep(closed, n, full, reach, k, found, todo)
-        if not todo:
-            break
-    return found
-
-
-def _sweep(closed, n, full, reach, k, found, todo):
-    # One stage of solve_dd_all: _stage's walk and tests with no fixed
-    # vertex. It records each dominating set it reaches as found[u] for
-    # its members u still in `todo`, and returns the vertices left there.
-    def rec(start, uncovered, mask, privs):
-        nonlocal todo
-        slots = k - len(privs) - 1
-        for x in range(start, n):
-            cx = closed[x]
-            gain = cx & uncovered
-            if not gain:
-                continue
-            unc = uncovered ^ gain
-            if unc:
-                if not slots or unc & ~reach[x + 1] or not (mask | -1 << x) & todo:
-                    continue  # as in _stage, or no set below the child has a member to serve
-            elif not (mask | 1 << x) & todo:
-                continue  # a dominating set with no member to serve
-            kept = [p & ~cx for p in privs]
-            if 0 in kept:
-                continue
-            if not unc:
-                hits = (mask | 1 << x) & todo
-                todo ^= hits
-                hit = len(kept) + 1, mask | 1 << x
-                while hits:
-                    low = hits & -hits
-                    found[low.bit_length() - 1] = hit
-                    hits ^= low
+                serve(len(kept) + 1, mask | 1 << x)
             elif unc.bit_count() <= slots or not _cut(closed, x + 1, unc, slots):
                 kept.append(gain)
                 rec(x + 1, unc, mask | 1 << x, kept)
             if not todo:
                 return
+            held &= todo
 
-    # the root: the empty set, which leaves all n vertices uncovered
-    if k >= n or not _cut(closed, 0, full, k):
-        rec(0, full, 0, [])
-    return todo
+    for k in range(max(k_lo, 1), k_hi + 1):
+        if not unc:
+            serve(len(privs), mask)  # v dominates every vertex
+        elif unc.bit_count() <= k - len(privs) or not _cut(closed, 0, unc, k - len(privs)):
+            rec(0, unc, mask, privs)
+        if not todo or k >= n:
+            break
+    return found
 
 
 def _scan_order(closed):

@@ -1,14 +1,14 @@
 """Exact domination computations.
 
-Everything here is exact: predicates are direct formula evaluations,
-the per-vertex domination degree comes from a staged branch-and-bound
-search (smallest cardinality first, so the first hit is a minimum), the
-degree vector and γ from one sweep per stage that serves every vertex
-under the same bounds, and the remaining quantities from a walk of
-irredundant sets. One walk gives the upper domination number and both
-irredundance numbers; only set enumeration walks them for the minimal
-dominating sets themselves.
-The staged search is independently cross-checkable against
+Everything here is exact: predicates are direct formula evaluations;
+γ, a vertex's domination degree and the degree vector come from one
+staged branch-and-bound walk (smallest cardinality first, so the first
+set that serves a vertex is a minimum), seeded at {v} for one vertex and
+at ∅ for γ or for every vertex at once; and the remaining quantities
+come from a walk of irredundant sets. One walk gives the upper
+domination number and both irredundance numbers; only set enumeration
+walks them for the minimal dominating sets themselves.
+The staged walk is independently cross-checkable against
 :func:`dd_vector_oracle`, a full-subset-scan implementation of the
 definition that shares no code with the search kernels. It still tests
 every one of the 2^n subsets, but from cover tables built once per half
@@ -126,7 +126,7 @@ def _search(kern, g: Graph, v: int, k_lo: int) -> tuple[int, int]:
 
 
 def _search_all(kern, g: Graph) -> list[tuple[int, int]]:
-    """``_search(kern, g, v, γ)`` for every vertex ``v``, from one sweep
+    """``_search(kern, g, v, γ)`` for every vertex ``v``, from one walk
     per stage size from ceil(n/(1+Δ)) up."""
     hits = kern.solve_dd_all(g.closed_adj, _gamma_lower_bound(g))
     if None in hits:
@@ -192,7 +192,7 @@ def domination_degree_witness(
 def domination_degrees(
     g: Graph, cap: int = DEFAULT_EXACT_CAP
 ) -> tuple[int, list[int], list[VertexSet]]:
-    """(γ, degrees, witnesses) for every vertex, from one sweep per stage.
+    """(γ, degrees, witnesses) for every vertex, from one walk per stage.
 
     The witnesses are those of :func:`domination_degree_witness`. For
     k = ceil(n/(1+Δ)), k+1, ..., one walk of the minimal dominating sets

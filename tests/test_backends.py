@@ -36,8 +36,9 @@ def compiled(tmp_path_factory):
     if cc is None:
         pytest.skip("no C compiler")
     out = tmp_path_factory.mktemp("kernels") / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
-    subprocess.run([cc, "-O2", "-shared", "-fPIC", "-I", sysconfig.get_paths()["include"],
-                    str(SOURCE), "-o", str(out)], check=True)
+    # warnings as errors: a static function or variable left unused fails here
+    subprocess.run([cc, "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
+                    "-I", sysconfig.get_paths()["include"], str(SOURCE), "-o", str(out)], check=True)
     spec = importlib.util.spec_from_file_location("_kernels", out)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -101,7 +102,17 @@ def test_stage_boundaries(compiled):
                 assert kern.solve_dd(closed, v, 0, dd - 1) is None, (g.edges(), v)
                 assert kern.solve_dd(closed, v, dd, dd) == hit, (g.edges(), v)
                 assert kern.solve_dd(closed, v, dd + 1, dd) is None
-            gamma = kern.solve_dd(closed, -1, 0, g.n)[0]
+                # stages outside 1..n: below 1 none succeeds, and above n each
+                # searches the tree of stage n, so its first hit is stage n's
+                assert kern.solve_dd(closed, v, -2, g.n + 2) == hit, (g.edges(), v)
+                assert kern.solve_dd(closed, v, g.n + 1, g.n + 2) == kern.solve_dd(
+                    closed, v, g.n, g.n
+                ), (g.edges(), v)
+            gamma, witness = kern.solve_dd(closed, -1, 0, g.n)
+            # the γ witness is the first dominating set of the sweep, so its
+            # least member gets it
+            least = (witness & -witness).bit_length() - 1
+            assert kern.solve_dd_all(closed, 0)[least] == (gamma, witness), g.edges()
             assert kern.solve_dd_all(closed, gamma) == kern.solve_dd_all(closed, _gamma_lower_bound(g))
 
 
