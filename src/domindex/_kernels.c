@@ -68,9 +68,12 @@ typedef struct {
 
 /* Whether the branch that extends the set of `depth` chosen vertices,
    which covers `cover`, by the vertices in `later` is pruned: the budget
-   s->k - depth is spent, or a bound shows that no hit lies on it. The
-   bounds count only the vertices the branch may still add, so they prune
-   only branches that cannot reach a hit. */
+   s->k - depth is spent, or a bound shows that no hit lies on it: with
+   one or two slots left, an exact test that no set of at most that many
+   vertices in `later` covers the uncovered vertices; with more, the
+   packing and budget bounds. The bounds count only the vertices the
+   branch may still add, so they prune only branches that cannot reach
+   a hit. */
 static inline __attribute__((always_inline)) int
 pruned(const Search *s, int depth, u64 cover, u64 later)
 {
@@ -86,6 +89,21 @@ pruned(const Search *s, int depth, u64 cover, u64 later)
             if ((s->closed[CTZ(rest)] & later) == 0)
                 return 1;
         return 0;
+    }
+    if (slots <= 2) {
+        /* exact: a later dominator d of the lowest uncovered vertex
+           covers unc, or with two slots, d and a later dominator of the
+           lowest vertex that d leaves uncovered do */
+        for (u64 d = s->closed[CTZ(unc)] & later; d != 0; d &= d - 1) {
+            u64 rest = unc & ~s->closed[CTZ(d)];
+            if (rest == 0)
+                return 0;
+            if (slots == 2)
+                for (u64 e = s->closed[CTZ(rest)] & later; e != 0; e &= e - 1)
+                    if ((rest & ~s->closed[CTZ(e)]) == 0)
+                        return 0;
+        }
+        return 1;
     }
     /* packing bound: uncovered vertices that share no later dominator
        each need an added vertex of their own */

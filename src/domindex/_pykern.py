@@ -31,20 +31,27 @@ open; a stage above n searches the tree of stage n, so at most one of
 them runs. A stage is a depth-first extension of the root to at most k
 vertices, candidates in ascending id (combination order), pruning any
 partial set that stops being irredundant. A branch may add only
-candidates above the last one it added, and two lower bounds on the
-vertices it must still add count only those later candidates. With a
-budget of k minus the set's size, a branch is pruned when
-  - packing: walking the uncovered vertices lowest first and taking
-    each one that shares no later dominator with one already taken
-    (the 2-packing bound ρ ≤ γ) takes more vertices than the budget,
-    as each needs a dominator of its own; a vertex with no later
-    dominator prunes at once;
-  - budget: the largest gains (uncovered vertices dominated) of as
-    many later candidates as the budget add up to less than the
-    uncovered count.
-Neither count can exceed the budget unless more vertices are uncovered
-than the budget, so otherwise only the test for a vertex with no later
-dominator runs. Neither bound prunes a branch that reaches a dominating
+candidates above the last one it added, and its bounds on the vertices
+it must still add count only those later candidates. With a budget of k
+minus the set's size, a branch is pruned when
+  - exact, for a budget of at most two: no later dominator d of the
+    lowest uncovered vertex covers every uncovered vertex, nor, for a
+    budget of two, does d together with a later dominator of the lowest
+    vertex that d leaves uncovered. Every set of at most two later
+    vertices that covers the uncovered vertices is found this way, so
+    the test prunes exactly the branches that no such set completes; a
+    budget below one prunes at once;
+  - packing, for a larger budget: walking the uncovered vertices lowest
+    first and taking each one that shares no later dominator with one
+    already taken (the 2-packing bound ρ ≤ γ) takes more vertices than
+    the budget, as each needs a dominator of its own; a vertex with no
+    later dominator prunes at once;
+  - budget, for a larger budget: the largest gains (uncovered vertices
+    dominated) of as many later candidates as the budget add up to less
+    than the uncovered count.
+When no more vertices are uncovered than the budget, each can take a
+later dominator of its own, so only the test for a vertex with no later
+dominator runs. No bound prunes a branch that reaches a dominating
 set. The stage records each dominating set it reaches as
 (size, member_mask) for the open vertices that the set serves, closes
 them, and does not extend the set. It also prunes a branch none of
@@ -118,12 +125,34 @@ def solve_dd_all(closed, k_lo):
 
 
 def _cut(closed, start, unc, slots):
-    """Whether the packing or budget bound cuts a set that leaves ``unc``
-    uncovered and may add ``slots`` more vertices, all from id ``start``
-    up. The caller has checked that such a vertex dominates each vertex
-    of ``unc``, and that ``unc`` has more vertices than ``slots``: with
-    no more, neither bound can count past ``slots``."""
+    """Whether the bounds cut a set that leaves ``unc`` uncovered and may
+    add ``slots`` more vertices, all from id ``start`` up: the exact
+    completion test for at most two slots, else the packing and budget
+    bounds. The caller has checked that such a vertex dominates each
+    vertex of ``unc``, and that ``unc`` has more vertices than ``slots``:
+    with no more, at most ``slots`` such vertices cover it."""
     later = -1 << start  # ids start and up
+    if slots <= 2:
+        # exact: a later dominator d of the lowest uncovered vertex covers
+        # unc, or with two slots, d and a later dominator of the lowest
+        # vertex that d leaves uncovered do
+        if slots < 1:
+            return True
+        doms = closed[(unc & -unc).bit_length() - 1] & later
+        while doms:
+            low = doms & -doms
+            doms ^= low
+            rest = unc & ~closed[low.bit_length() - 1]
+            if not rest:
+                return False
+            if slots == 2:
+                seconds = closed[(rest & -rest).bit_length() - 1] & later
+                while seconds:
+                    low = seconds & -seconds
+                    if not rest & ~closed[low.bit_length() - 1]:
+                        return False
+                    seconds ^= low
+        return True
     # packing bound: uncovered vertices that share no later dominator each
     # need an added vertex of their own
     packed = 0

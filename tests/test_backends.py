@@ -8,6 +8,7 @@ package's own extension was built; they skip only without a C compiler.
 import importlib.util
 import os
 import pathlib
+import random
 import shutil
 import signal
 import subprocess
@@ -15,6 +16,9 @@ import sys
 import sysconfig
 import time
 import tracemalloc
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
 import pytest
 
@@ -53,7 +57,8 @@ def corpus():
     graphs = [random_graph(n, p, seed=n * 10 + int(p * 10)) for n in (1, 2, 5, 9, 13)
               for p in (0.2, 0.5, 0.8)]
     graphs += list(enumerate_labeled_graphs(4))
-    # sparse graphs, where the packing bound prunes most of the search
+    # sparse graphs, where the bounds prune most of the search: packing with
+    # three or more slots left, the exact completion test with one or two
     graphs += [random_graph(n, p, seed=n * 100 + int(p * 100)) for n in (16, 18, 20, 22, 24)
                for p in (0.1, 0.15)]
     graphs += [generate(FamilySpec("cycle", (30,))).graph, generate(FamilySpec("path", (31,))).graph]
@@ -114,6 +119,37 @@ def test_stage_boundaries(compiled):
             least = (witness & -witness).bit_length() - 1
             assert kern.solve_dd_all(closed, 0)[least] == (gamma, witness), g.edges()
             assert kern.solve_dd_all(closed, gamma) == kern.solve_dd_all(closed, _gamma_lower_bound(g))
+
+
+def test_cut_against_brute_force():
+    # A bound that prunes less changes no value or witness, so no result test
+    # sees it. Here _cut meets brute force under its preconditions: every
+    # vertex of unc has a dominator from `start` up, and unc has more
+    # vertices than `slots`. With at most two slots it prunes exactly when no
+    # `slots` such vertices cover unc; with three or four it never prunes a
+    # unc that they cover.
+    rng = random.Random(2020)
+    for i in range(45):
+        n = i % 10 + 1
+        closed = list(random_graph(n, (0.15, 0.3, 0.5)[i % 3], seed=i).closed_adj)
+        for start in range(n):
+            later = closed[start:]
+            reach = reduce(or_, later)
+            # the covers of the sets of at most `slots` vertices from start up
+            unions = {s: [reduce(or_, c, 0) for c in combinations(later, min(s, len(later)))]
+                      for s in range(5)}
+            unions[-1] = []  # no set has -1 vertices
+            for _ in range(12):
+                unc = reach & rng.getrandbits(n)
+                for slots in range(-1, 5):
+                    if unc.bit_count() <= slots:
+                        continue
+                    covered = any(not unc & ~u for u in unions[slots])
+                    cut = _pykern._cut(closed, start, unc, slots)
+                    if slots <= 2:
+                        assert cut != covered, (closed, start, unc, slots)
+                    else:
+                        assert not (cut and covered), (closed, start, unc, slots)
 
 
 def test_scans_identical(compiled):

@@ -350,7 +350,9 @@ def test_witness_is_lex_least_minimum_set_containing_v():
     # isolated vertices and several components: the witness must equal the
     # search started at gamma, and the lex-least (sorted id tuple) of the
     # minimum-size minimal dominating sets containing v found by brute force.
-    # The sparse graphs on 12-14 vertices are where the packing bound prunes.
+    # The sparse graphs on 12-14 vertices are where the bounds prune: the
+    # packing bound with three or more slots left, the exact completion test
+    # with one or two.
     cases = [(n, j, p) for n in range(1, 12) for j, p in enumerate((0.0, 0.1, 0.2, 0.35, 0.6))]
     cases += [(n, j, p) for n in (12, 13, 14) for j, p in enumerate((0.1, 0.15))]
     isolated = disconnected = 0
