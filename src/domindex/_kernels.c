@@ -3,8 +3,12 @@
    Twin of _pykern (see its docstring for the kernel contract): same
    candidate order, same pruning, same results and witnesses. One stage
    walk serves both searches, from three seeds: solve_dd(v) at the root
-   {v}, solve_dd(-1) and solve_dd_all at the root ∅. Restricted to
-   graphs with at most 64 vertices, so every mask fits one machine word.
+   {v}, solve_dd(-1) and solve_dd_all at the root ∅. Three walks of
+   irredundant sets give the minimal dominating sets (scan_minimal_ds),
+   Γ and IR (scan_irredundance), and ir (scan_ir, from γ down, bounded
+   by the domination of G²). One bound helper, pruned, serves the stage
+   walk on G and scan_ir on G². Restricted to graphs with at most 64
+   vertices, so every mask fits one machine word.
    Long searches and walks poll for signals, so Ctrl-C stops them.
 
    Build with `python setup.py build_ext --inplace`. */
@@ -66,27 +70,24 @@ typedef struct {
     u64 priv[MAXN + 1][MAXN];
 } Search;
 
-/* Whether the branch that extends the set of `depth` chosen vertices,
-   which covers `cover`, by the vertices in `later` is pruned: the budget
-   s->k - depth is spent, or a bound shows that no hit lies on it: with
-   one or two slots left, an exact test that no set of at most that many
-   vertices in `later` covers the uncovered vertices; with more, the
-   packing and budget bounds. The bounds count only the vertices the
-   branch may still add, so they prune only branches that cannot reach
-   a hit. */
+/* Whether a branch that leaves `unc` uncovered, in the graph whose
+   closed neighbourhoods are closed[0..n), and may still add `slots`
+   vertices from `later` is pruned: no slot is left, or a bound shows
+   that no such set of vertices covers `unc`: with one or two slots, an
+   exact test; with more, the packing and budget bounds. The bounds
+   count only the vertices the branch may still add, so they prune only
+   branches that cannot cover `unc`. */
 static inline __attribute__((always_inline)) int
-pruned(const Search *s, int depth, u64 cover, u64 later)
+pruned(const u64 *closed, int n, u64 unc, int slots, u64 later)
 {
-    int slots = s->k - depth;
     if (slots <= 0)
         return 1;
-    u64 unc = s->full & ~cover;
     int need = POPCOUNT(unc);
     if (need <= slots) {
         /* neither bound can count past `slots`: only an uncovered vertex
            with no later dominator prunes */
         for (u64 rest = unc; rest != 0; rest &= rest - 1)
-            if ((s->closed[CTZ(rest)] & later) == 0)
+            if ((closed[CTZ(rest)] & later) == 0)
                 return 1;
         return 0;
     }
@@ -94,13 +95,13 @@ pruned(const Search *s, int depth, u64 cover, u64 later)
         /* exact: a later dominator d of the lowest uncovered vertex
            covers unc, or with two slots, d and a later dominator of the
            lowest vertex that d leaves uncovered do */
-        for (u64 d = s->closed[CTZ(unc)] & later; d != 0; d &= d - 1) {
-            u64 rest = unc & ~s->closed[CTZ(d)];
+        for (u64 d = closed[CTZ(unc)] & later; d != 0; d &= d - 1) {
+            u64 rest = unc & ~closed[CTZ(d)];
             if (rest == 0)
                 return 0;
             if (slots == 2)
-                for (u64 e = s->closed[CTZ(rest)] & later; e != 0; e &= e - 1)
-                    if ((rest & ~s->closed[CTZ(e)]) == 0)
+                for (u64 e = closed[CTZ(rest)] & later; e != 0; e &= e - 1)
+                    if ((rest & ~closed[CTZ(e)]) == 0)
                         return 0;
         }
         return 1;
@@ -109,20 +110,20 @@ pruned(const Search *s, int depth, u64 cover, u64 later)
        each need an added vertex of their own */
     int packed = 0;
     for (u64 rest = unc; rest != 0;) {
-        u64 doms = s->closed[CTZ(rest)] & later;
+        u64 doms = closed[CTZ(rest)] & later;
         if (doms == 0 || ++packed > slots)
             return 1;
         for (; doms != 0; doms &= doms - 1)
-            rest &= ~s->closed[CTZ(doms)];
+            rest &= ~closed[CTZ(doms)];
     }
 
     /* budget bound over later candidates: the best `slots` gains must
        reach `need` */
     int hist[MAXN + 1], top = 0;
-    for (int c = 0; c <= s->n; c++)  /* a gain is at most |unc| <= n */
+    for (int c = 0; c <= n; c++)  /* a gain is at most |unc| <= n */
         hist[c] = 0;
     for (u64 rest = later; rest != 0; rest &= rest - 1) {
-        int c = POPCOUNT(s->closed[CTZ(rest)] & unc);
+        int c = POPCOUNT(closed[CTZ(rest)] & unc);
         hist[c]++;
         if (c > top)
             top = c;
@@ -177,7 +178,8 @@ walk(Search *s, int depth, int last, u64 cover, u64 mask)
     }
     int next = last + 1;  /* later: the vertices a branch may still add */
     u64 later = next < s->n ? s->full >> next << next : 0;
-    if (((mask | later | s->wild) & s->todo) == 0 || pruned(s, depth, cover, later))
+    if (((mask | later | s->wild) & s->todo) == 0
+        || pruned(s->closed, s->n, s->full & ~cover, s->k - depth, later))
         return 0;
     for (int x = last + 1; x < s->n && s->todo != 0; x++) {
         if (!admit(s, depth, x, cover))
@@ -296,11 +298,12 @@ solve_dd_all(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
    set is extended only by vertices above its highest member that keep
    every member's private territory nonempty. priv[d] holds, for a set
    of d members, each member's private territory; each depth has its own
-   row, as in Search. reach[x] is what closed[x..n) dominate together. */
+   row, as in Search. reach[x] is what closed[x..n) dominate together.
+   scan_ir also keeps square[], the closed neighbourhoods of G². */
 typedef struct {
-    int n, lo, upper_gamma, upper_ir;
+    int n, lo, stop, upper_gamma, upper_ir;
     u64 full, nodes;
-    u64 closed[MAXSCAN], reach[MAXSCAN + 1];
+    u64 closed[MAXSCAN], reach[MAXSCAN + 1], square[MAXSCAN];
     u64 priv[MAXSCAN + 1][MAXSCAN];
     u64 *found;            /* scan_minimal_ds: the sets found so far */
     size_t count, room;
@@ -317,7 +320,6 @@ walk_init(Walk *w, PyObject *closed)
     w->reach[w->n] = 0;
     for (int x = w->n - 1; x >= 0; x--)
         w->reach[x] = w->reach[x + 1] | w->closed[x];
-    w->lo = w->n + 1;
     w->upper_gamma = w->upper_ir = 0;
     w->found = NULL;
     w->count = w->room = 0;
@@ -423,8 +425,8 @@ done:
     return out;
 }
 
-/* 0, or -1 with an exception set. Tracks ir (w->lo), Γ and IR, and
-   stops branches that can improve none of them, as in _pykern. */
+/* 0, or -1 with an exception set. Tracks Γ and IR, and stops branches
+   that can improve neither, as in _pykern. */
 static int
 irr_walk(Walk *w, int depth, int start, u64 cover)
 {
@@ -434,41 +436,28 @@ irr_walk(Walk *w, int depth, int start, u64 cover)
     if (c > w->upper_ir)
         w->upper_ir = c;
     if (cover == w->full) {
-        /* minimal dominating, and maximal irredundant */
+        /* minimal dominating */
         if (c > w->upper_gamma)
             w->upper_gamma = c;
-        if (c < w->lo)
-            w->lo = c;
         return 0;
     }
-    u64 unc = w->full & ~cover;
-    if (c >= w->lo) {
-        /* not ir, and members added below take disjoint private
-           territories from the uncovered vertices that later ones reach */
-        u64 r = unc & w->reach[start];
-        int room = c + POPCOUNT(r);
-        if (room <= w->upper_ir && (r != unc || room <= w->upper_gamma))
-            return 0;
-    }
+    /* members added below take disjoint private territories from the
+       uncovered vertices that later ones reach */
+    u64 unc = w->full & ~cover, r = unc & w->reach[start];
+    int room = c + POPCOUNT(r);
+    if (room <= w->upper_ir && (r != unc || room <= w->upper_gamma))
+        return 0;
     const u64 *privs = w->priv[depth];
     int kids[MAXSCAN], nkids = 0;
     for (int x = start; x < w->n; x++)
         if (extends(privs, depth, w->closed[x], unc))
             kids[nkids++] = x;
-    if (nkids == 0 && c < w->lo) {
-        /* maximal unless a lower vertex keeps the set irredundant */
-        int x = 0;
-        while (x < start && !extends(privs, depth, w->closed[x], unc))
-            x++;
-        if (x == start)
-            w->lo = c;
-    }
     /* a descendant of the child by kids[i] adds only kids[i..), so it has
        at most `room` members, and it dominates only if they reach unc */
     for (int i = 0; i < nkids; i++) {
-        int x = kids[i], room = c + nkids - i;
-        if (c + 1 >= w->lo && room <= w->upper_ir
-            && (room <= w->upper_gamma || (unc & ~w->reach[x]) != 0))
+        int x = kids[i];
+        room = c + nkids - i;
+        if (room <= w->upper_ir && (room <= w->upper_gamma || (unc & ~w->reach[x]) != 0))
             break;
         keep(w, depth, x, unc);
         if (irr_walk(w, depth + 1, x + 1, cover | w->closed[x]) < 0)
@@ -483,7 +472,74 @@ scan_irredundance(PyObject *Py_UNUSED(self), PyObject *closed)
     Walk w;
     if (walk_init(&w, closed) < 0 || irr_walk(&w, 0, 0, 0) < 0)
         return NULL;
-    return Py_BuildValue("(iii)", w.lo, w.upper_gamma, w.upper_ir);
+    return Py_BuildValue("(ii)", w.upper_gamma, w.upper_ir);
+}
+
+/* 0, or -1 with an exception set. Looks for a maximal irredundant set
+   smaller than w->lo, as in _pykern: the set of `depth` members covers
+   `cover` in G and `far` in G², and may add vertices from `start` up. A
+   maximal irredundant set dominates G², so the branch is pruned when its
+   later vertices cannot cover the rest of G² within lo - 1 members. */
+static int
+ir_walk(Walk *w, int depth, int start, u64 cover, u64 far)
+{
+    if (walk_poll(w) < 0)
+        return -1;
+    int slots = w->lo - 1 - depth;
+    u64 rest = w->full & ~far, later = w->full >> start << start;
+    if (w->lo <= w->stop || slots < 0
+        || (rest != 0 && pruned(w->square, w->n, rest, slots, later)))
+        return 0;
+    u64 unc = w->full & ~cover;
+    const u64 *privs = w->priv[depth];
+    /* vertices below `end` are tested for extending a set that no later
+       vertex extends: all of them when no child stays below lo */
+    int maximal = 1, end = w->n;
+    if (slots > 0) {
+        end = start;
+        for (int x = start; x < w->n && w->lo > w->stop && w->lo - 1 - depth > 0; x++) {
+            if (!extends(privs, depth, w->closed[x], unc))
+                continue;
+            maximal = 0;
+            keep(w, depth, x, unc);
+            if (ir_walk(w, depth + 1, x + 1, cover | w->closed[x], far | w->square[x]) < 0)
+                return -1;
+        }
+    }
+    if (maximal) {
+        int x = 0;
+        while (x < end && !extends(privs, depth, w->closed[x], unc))
+            x++;
+        if (x == end)
+            w->lo = depth;
+    }
+    return 0;
+}
+
+/* scan_ir(closed, gamma): ir, from lo = gamma down. */
+static PyObject *
+scan_ir(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    Walk w;
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "scan_ir expected 2 arguments, got %zd", nargs);
+        return NULL;
+    }
+    if (walk_init(&w, args[0]) < 0 || as_int(args[1], &w.lo) < 0)
+        return NULL;
+    if (w.lo < 1 || w.lo > w.n) {
+        PyErr_Format(PyExc_ValueError, "gamma must lie in 1..%d, got %d", w.n, w.lo);
+        return NULL;
+    }
+    w.stop = (w.lo + 2) / 2;  /* ir >= ceil((gamma + 1) / 2), as gamma <= 2 ir - 1 */
+    for (int v = 0; v < w.n; v++) {
+        w.square[v] = 0;
+        for (u64 rest = w.closed[v]; rest != 0; rest &= rest - 1)
+            w.square[v] |= w.closed[CTZ(rest)];
+    }
+    if (ir_walk(&w, 0, 0, 0, 0) < 0)
+        return NULL;
+    return PyLong_FromLong(w.lo);
 }
 
 static PyMethodDef methods[] = {
@@ -494,7 +550,9 @@ static PyMethodDef methods[] = {
     {"scan_minimal_ds", scan_minimal_ds, METH_O,
      "scan_minimal_ds(closed) -> minimal dominating sets sorted by (size, mask)"},
     {"scan_irredundance", scan_irredundance, METH_O,
-     "scan_irredundance(closed) -> (ir, upper gamma, IR)"},
+     "scan_irredundance(closed) -> (upper gamma, IR)"},
+    {"scan_ir", (PyCFunction)(void (*)(void))scan_ir, METH_FASTCALL,
+     "scan_ir(closed, gamma) -> ir, given gamma, the domination number"},
     {NULL, NULL, 0, NULL},
 };
 

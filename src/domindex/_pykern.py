@@ -69,16 +69,19 @@ scan_minimal_ds(closed)
     enumeration needs it: the list is its output.
 
 scan_irredundance(closed)
-    (ir, Γ, IR), by one walk of irredundant sets: the minimum cardinality
-    of a maximal irredundant set, the maximum cardinality of an
-    irredundant dominating set (a minimal dominating set is exactly a
+    (Γ, IR), by one walk of irredundant sets: the maximum cardinality of
+    an irredundant dominating set (a minimal dominating set is exactly a
     dominating irredundant one) and the maximum cardinality of an
     irredundant set.
 
-Both walks visit irredundant sets depth first, each at most once: a set
+scan_ir(closed, gamma)
+    ir, the minimum cardinality of a maximal irredundant set, by a walk
+    of its own; ``gamma`` must be γ, the domination number.
+
+The walks visit irredundant sets depth first, each at most once: a set
 is extended only by a vertex above its highest member, and only when
 every member, the new one included, keeps a private vertex (as in the
-stage walk, without its bounds). Irredundance is hereditary, so the walk
+stage walk, without its bounds). Irredundance is hereditary, so a walk
 reaches every irredundant set that no bound cuts off. No vertex added to
 a dominating set has a private vertex, so a dominating set is never
 extended.
@@ -87,25 +90,39 @@ extended.
 branch in which some uncovered vertex has no dominator among the later
 vertices: that branch holds no dominating set.
 
-``scan_irredundance`` tracks ir, Γ and IR as it walks and skips a branch
-that can improve none of them:
-  - ir: none of the branch's sets is smaller than the smallest maximal
-    irredundant set found so far;
-  - IR and Γ: the members added below a set take disjoint, nonempty
-    private territories from the vertices it leaves uncovered. So the
-    branch's sets add at most as many members as there are uncovered
-    vertices that later vertices dominate, and at most as many as there
-    are later vertices that extend the set; and they dominate only when
-    the later vertices dominate every uncovered vertex.
-A set that a higher vertex extends is not maximal, so maximality is
-tested only on the other sets, against the lower vertices, and only when
-the set is smaller than the best ir so far. Memory is O(n^2) words plus
-the output.
+``scan_irredundance`` tracks Γ and IR as it walks and skips a branch
+that can improve neither: the members added below a set take disjoint,
+nonempty private territories from the vertices it leaves uncovered. So
+the branch's sets add at most as many members as there are uncovered
+vertices that later vertices dominate, and at most as many as there are
+later vertices that extend the set; and they dominate only when the
+later vertices dominate every uncovered vertex.
 
-Every function raises ValueError for a graph with no vertices, and the
-scans also for one over 26 vertices; ``solve_dd`` raises IndexError for
-v >= n. Only ``solve_dd`` and ``solve_dd_all`` of this twin take graphs
-over 64 vertices.
+``scan_ir`` looks only for a maximal irredundant set smaller than lo,
+the size of the smallest one found so far:
+  - lo starts at γ, as a minimum dominating set is maximal irredundant;
+  - the walk stops once lo ≤ ⌈(γ+1)/2⌉, which ir cannot undercut, as
+    γ ≤ 2·ir − 1 (Bollobás and Cockayne, J. Graph Theory 1979);
+  - a set S may add lo − 1 − |S| more vertices. This twin tests each
+    child before it enters it, and the compiled twin on entry;
+  - the G² bound. A maximal irredundant set S dominates G², the graph
+    whose closed neighbourhoods are the vertices within distance 2: for
+    w outside S, either S dominates w, or adding w leaves some member s
+    no private vertex, so all of s's private vertices lie in N[w] and w
+    is within distance 2 of s. So a branch is cut when its later
+    vertices cannot cover the vertices its set leaves uncovered in G²
+    within its budget, by the stage walk's bounds (``_cut``) on the
+    closed neighbourhoods of G²; they prune only branches that no such
+    set of vertices completes;
+  - a set that no vertex, higher or lower, extends is maximal, and lo
+    falls to its size.
+Memory is O(n^2) words plus the output.
+
+Every function raises ValueError for a graph with no vertices, the walks
+of irredundant sets also for one over 26 vertices, and ``scan_ir`` also
+for ``gamma`` outside 1..n; ``solve_dd`` raises IndexError for v >= n.
+Only ``solve_dd`` and ``solve_dd_all`` of this twin take graphs over 64
+vertices.
 """
 
 from __future__ import annotations
@@ -125,8 +142,9 @@ def solve_dd_all(closed, k_lo):
 
 
 def _cut(closed, start, unc, slots):
-    """Whether the bounds cut a set that leaves ``unc`` uncovered and may
-    add ``slots`` more vertices, all from id ``start`` up: the exact
+    """Whether the bounds cut a set that leaves ``unc`` uncovered, in the
+    graph whose closed neighbourhoods are ``closed``, and may add ``slots``
+    more vertices, all from id ``start`` up: the exact
     completion test for at most two slots, else the packing and budget
     bounds. The caller has checked that such a vertex dominates each
     vertex of ``unc``, and that ``unc`` has more vertices than ``slots``:
@@ -284,29 +302,25 @@ def scan_irredundance(closed):
     n = _scan_order(closed)
     full = (1 << n) - 1
     reach = _reach(closed, n)
-    lo, upper_gamma, upper_ir = n + 1, 0, 0
+    upper_gamma = upper_ir = 0
 
     def rec(start, cover, privs):
-        nonlocal lo, upper_gamma, upper_ir
+        nonlocal upper_gamma, upper_ir
         c = len(privs)
         if c > upper_ir:
             upper_ir = c
         if cover == full:
-            # a dominating irredundant set is minimal dominating and has
-            # no irredundant superset, so it is also maximal irredundant
+            # a dominating irredundant set is minimal dominating
             if c > upper_gamma:
                 upper_gamma = c
-            if c < lo:
-                lo = c
             return
+        # members added below take disjoint private territories from the
+        # uncovered vertices that later ones reach
         unc = full & ~cover
-        if c >= lo:
-            # not ir, and members added below take disjoint private
-            # territories from the uncovered vertices that later ones reach
-            r = unc & reach[start]
-            room = c + r.bit_count()
-            if room <= upper_ir and (r != unc or room <= upper_gamma):
-                return
+        r = unc & reach[start]
+        room = c + r.bit_count()
+        if room <= upper_ir and (r != unc or room <= upper_gamma):
+            return
         kids = []
         for x in range(start, n):
             cx = closed[x]
@@ -318,21 +332,75 @@ def scan_irredundance(closed):
                 continue
             kept.append(gain)
             kids.append((x, cx, kept))
-        if not kids and c < lo:
-            # maximal unless a lower vertex keeps the set irredundant
-            for cx in closed[:start]:
-                if cx & unc and all(p & ~cx for p in privs):
-                    break
-            else:
-                lo = c
         # a descendant of the child by kids[i] adds only kids[i:], so it has
         # at most `room` members, and it dominates only if they reach unc
         room = c + len(kids)
         for x, cx, kept in kids:
-            if c + 1 >= lo and room <= upper_ir and (room <= upper_gamma or unc & ~reach[x]):
+            if room <= upper_ir and (room <= upper_gamma or unc & ~reach[x]):
                 break
             rec(x + 1, cover | cx, kept)
             room -= 1
 
     rec(0, 0, [])
-    return lo, upper_gamma, upper_ir
+    return upper_gamma, upper_ir
+
+
+def scan_ir(closed, gamma):
+    n = _scan_order(closed)
+    if not 1 <= gamma <= n:
+        raise ValueError(f"gamma must lie in 1..{n}, got {gamma}")
+    full = (1 << n) - 1
+    # square: closed neighbourhoods of G², the vertices within distance 2
+    square = [0] * n
+    for v in range(n):
+        rest = closed[v]
+        while rest:
+            low = rest & -rest
+            square[v] |= closed[low.bit_length() - 1]
+            rest ^= low
+    reach = _reach(square, n)
+    stop = (gamma + 2) // 2  # ir ≥ ⌈(γ+1)/2⌉, as γ ≤ 2ir − 1
+    lo = gamma
+
+    # cover and far: what the set dominates in G and in G²
+    def rec(start, cover, far, privs):
+        nonlocal lo
+        c = len(privs)
+        unc = full & ~cover
+        slots = lo - 2 - c  # left to a child, which stays below lo
+        others = closed  # when no child stays below lo, all are tested
+        if slots >= 0:
+            maximal = True
+            for x in range(start, n):
+                cx = closed[x]
+                gain = cx & unc
+                if not gain:
+                    continue
+                kept = [p & ~cx for p in privs]
+                if 0 in kept:
+                    continue
+                maximal = False  # x extends the set
+                # no slot left, a vertex far from the child with no later
+                # G²-dominator, or the bounds of the stage walk in G²
+                rest = full & ~(far | square[x])
+                if rest and (not slots or rest & ~reach[x + 1]
+                             or rest.bit_count() > slots and _cut(square, x + 1, rest, slots)):
+                    continue
+                kept.append(gain)
+                rec(x + 1, cover | cx, far | square[x], kept)
+                slots = lo - 2 - c
+                if lo <= stop or slots < 0:
+                    return
+            if not maximal:
+                return
+            others = closed[:start]
+        # maximal unless another vertex (a lower one, when no later vertex
+        # extends the set) keeps it irredundant
+        for cx in others:
+            if cx & unc and all(p & ~cx for p in privs):
+                return
+        lo = c
+
+    if lo > stop and (n <= lo - 1 or not _cut(square, 0, full, lo - 1)):
+        rec(0, 0, 0, [])
+    return lo

@@ -5,9 +5,12 @@ Everything here is exact: predicates are direct formula evaluations;
 staged branch-and-bound walk (smallest cardinality first, so the first
 set that serves a vertex is a minimum), seeded at {v} for one vertex and
 at ∅ for γ or for every vertex at once; and the remaining quantities
-come from a walk of irredundant sets. One walk gives the upper
-domination number and both irredundance numbers; only set enumeration
-walks them for the minimal dominating sets themselves.
+come from walks of irredundant sets. One walk gives the upper
+domination number Γ and the upper irredundance number IR. A walk of its
+own gives the irredundance number ir: it starts from γ, which bounds ir
+from above, and it cuts each branch whose sets cannot dominate G², as
+every maximal irredundant set does. Only set enumeration walks them for
+the minimal dominating sets themselves.
 The staged walk is independently cross-checkable against
 :func:`dd_vector_oracle`, a full-subset-scan implementation of the
 definition that shares no code with the search kernels. It still tests
@@ -23,8 +26,10 @@ dominating set containing it; the domination index is the sum of the
 degrees over all vertices.
 
 Every kernel call passes one private entry: ``_kernels`` guards the
-input and picks the twin, ``_search``, ``_search_all`` and ``_walk``
-make the calls. Only :func:`mds_containing_greedy` passes no cap.
+input and picks the twin (``_walk`` adds the limit of the walks of
+irredundant sets), and ``_search``, ``_search_all`` and
+``_irredundance`` make the calls of the searches and of the ir, Γ and IR
+walks. Only :func:`mds_containing_greedy` passes no cap.
 
 Everything here is a pure function of immutable inputs, so concurrent
 calls (including per-vertex degree computations of one graph) are safe.
@@ -44,7 +49,7 @@ from .errors import (
     VertexNotInSet,
     VertexOutOfRange,
 )
-from .graph import Graph, VertexSet, bits_of, mask_of, max_degree
+from .graph import Graph, VertexSet, bits_of, mask_of
 
 DEFAULT_EXACT_CAP = 24   # staged searches, profiles, Γ/ir/IR, set enumeration
 DEFAULT_SCAN_CAP = 20    # the oracle's subset scan
@@ -99,7 +104,7 @@ def is_minimal_dominating(g: Graph, s: VertexSet) -> bool:
 
 
 def _gamma_lower_bound(g: Graph) -> int:
-    return ceil(g.n / (1 + max_degree(g)))
+    return ceil(g.n / (1 + g.max_degree))
 
 
 def _kernels(g: Graph, cap: int | None, what: str, v: int | None = None):
@@ -136,11 +141,17 @@ def _search_all(kern, g: Graph) -> list[tuple[int, int]]:
     return hits
 
 
-def _walk(g: Graph, cap: int, what: str, minimal_sets: bool = False):
-    """(ir, Γ, IR), or the minimal dominating set masks, from one walk of
-    irredundant sets, capped also at the walks' limit."""
-    kern = _kernels(g, min(cap, _SCAN_HARD_CAP), what)
-    return (kern.scan_minimal_ds if minimal_sets else kern.scan_irredundance)(g.closed_adj)
+def _walk(g: Graph, cap: int, what: str):
+    """The kernel twin for a walk of irredundant sets on ``g``, once ``g``
+    is within ``cap`` and the walks' limit."""
+    return _kernels(g, min(cap, _SCAN_HARD_CAP), what)
+
+
+def _irredundance(kern, g: Graph, gamma: int) -> tuple[int, int, int]:
+    """(ir, Γ, IR): Γ and IR from one walk of irredundant sets, and ir from
+    a walk of its own that starts at ``gamma``, which must be γ."""
+    upper, upper_ir = kern.scan_irredundance(g.closed_adj)
+    return kern.scan_ir(g.closed_adj, gamma), upper, upper_ir
 
 
 def domination_number(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> int:
@@ -148,19 +159,21 @@ def domination_number(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> int:
     return _search(_kernels(g, cap, "domination number search"), g, -1, _gamma_lower_bound(g))[0]
 
 
-def _irredundance_scan(g: Graph) -> tuple[int, int, int]:
-    """(ir, Γ, IR) from one walk of irredundant sets."""
-    return _walk(g, DEFAULT_EXACT_CAP, "irredundance scan")
+def _irredundance_scan(g: Graph, gamma: int) -> tuple[int, int, int]:
+    """(ir, Γ, IR) of a graph whose γ is ``gamma``."""
+    return _irredundance(_walk(g, DEFAULT_EXACT_CAP, "irredundance scan"), g, gamma)
 
 
 def upper_domination_number(g: Graph) -> int:
     """Maximum cardinality of a minimal dominating set."""
-    return _irredundance_scan(g)[1]
+    return _walk(g, DEFAULT_EXACT_CAP, "irredundance scan").scan_irredundance(g.closed_adj)[0]
 
 
 def irredundance_numbers(g: Graph) -> tuple[int, int]:
     """(ir, IR): extreme cardinalities of maximal irredundant / irredundant sets."""
-    ir, _, upper_ir = _irredundance_scan(g)
+    kern = _walk(g, DEFAULT_EXACT_CAP, "irredundance scan")
+    gamma = _search(kern, g, -1, _gamma_lower_bound(g))[0]
+    ir, _, upper_ir = _irredundance(kern, g, gamma)
     return ir, upper_ir
 
 
@@ -226,11 +239,13 @@ class DominationProfile:
 def domination_profile(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> DominationProfile:
     """Compute every profile field; self-checks the textbook inequalities.
 
-    Γ, ir and IR come from one walk of irredundant sets. It runs first,
-    so a graph over the walks' limit fails before any degree search.
+    The walks' limit is checked first, so a graph over it fails before
+    any degree search. Then one sweep gives γ and the degrees, and the
+    walks of irredundant sets give ir from γ, Γ and IR.
     """
-    ir, upper, upper_ir = _walk(g, cap, "domination profile")
+    kern = _walk(g, cap, "domination profile")
     gamma, degrees, witnesses = domination_degrees(g, cap)
+    ir, upper, upper_ir = _irredundance(kern, g, gamma)
     index = sum(degrees)
     profile = DominationProfile(
         degrees=tuple(degrees),
@@ -264,7 +279,8 @@ def enumerate_minimal_dominating_sets(g: Graph) -> Iterator[VertexSet]:
     """Every minimal dominating set once, smallest cardinality first,
     ties broken by ascending mask value. The guards and the walk run at
     the call, so a graph over the cap fails here, not at the first item."""
-    masks = _walk(g, DEFAULT_EXACT_CAP, "minimal dominating set enumeration", minimal_sets=True)
+    kern = _walk(g, DEFAULT_EXACT_CAP, "minimal dominating set enumeration")
+    masks = kern.scan_minimal_ds(g.closed_adj)
     return (VertexSet(g.n, mask) for mask in masks)
 
 

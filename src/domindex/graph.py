@@ -74,6 +74,11 @@ class Graph:
     def closed_adj(self) -> tuple[int, ...]:
         return tuple(self.open_adj[v] | (1 << v) for v in range(self.n))
 
+    @cached_property
+    def max_degree(self) -> int:
+        """Δ, computed once per graph; 0 for a graph with no vertices."""
+        return max((a.bit_count() for a in self.open_adj), default=0)
+
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -174,7 +179,7 @@ def closed_neighborhood(g: Graph, v: int) -> VertexSet:
 def max_degree(g: Graph) -> int:
     if g.n == 0:
         raise VertexOutOfRange("graph has no vertices")
-    return max(a.bit_count() for a in g.open_adj)
+    return g.max_degree
 
 
 def is_connected(g: Graph) -> bool:

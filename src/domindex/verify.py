@@ -334,7 +334,7 @@ def _suite_inequalities(orders: range) -> CheckReport:
     for g, w in _graph_classes(orders[-1]):
         inst = describe(g)
         gamma, degs, _ = domination_degrees(g)
-        ir, upper, upper_ir = _irredundance_scan(g)
+        ir, upper, upper_ir = _irredundance_scan(g, gamma)
         di = sum(degs)
         chain_ok = (
             ir <= gamma

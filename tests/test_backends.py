@@ -16,7 +16,7 @@ import sys
 import sysconfig
 import time
 import tracemalloc
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from operator import or_
 
@@ -25,7 +25,7 @@ import pytest
 from domindex import FamilySpec, _pykern, backend, generate
 from domindex.backend import backend_name, kernels_for
 from domindex.engine import _gamma_lower_bound, is_dominating, is_irredundant
-from domindex.graph import VertexSet
+from domindex.graph import VertexSet, distances_from, new_graph
 from domindex.ops import disjoint_union, product
 from domindex.verify import enumerate_labeled_graphs, random_graph
 
@@ -63,6 +63,22 @@ def corpus():
                for p in (0.1, 0.15)]
     graphs += [generate(FamilySpec("cycle", (30,))).graph, generate(FamilySpec("path", (31,))).graph]
     return graphs
+
+
+def disconnected():
+    # where the walks of irredundant sets used to visit nearly every subset
+    cycle = lambda m: generate(FamilySpec("cycle", (m,))).graph
+    return [new_graph(20, []), disjoint_union([cycle(7)] * 3), disjoint_union([cycle(11)] * 2)]
+
+
+def square(g):
+    """The closed neighbourhoods of G²: the vertices within distance 2."""
+    return [sum(1 << u for u, d in enumerate(distances_from(g, v)) if 0 <= d <= 2) for v in range(g.n)]
+
+
+def _walks(kern, closed, gamma):
+    """(ir, Γ, IR) from the two walks of irredundant sets."""
+    return (kern.scan_ir(closed, gamma),) + kern.scan_irredundance(closed)
 
 
 def test_solve_dd_identical_results_and_witnesses(compiled):
@@ -127,59 +143,79 @@ def test_cut_against_brute_force():
     # vertex of unc has a dominator from `start` up, and unc has more
     # vertices than `slots`. With at most two slots it prunes exactly when no
     # `slots` such vertices cover unc; with three or four it never prunes a
-    # unc that they cover.
+    # unc that they cover. The stage walk calls it on the closed
+    # neighbourhoods of G, and scan_ir on those of G².
     rng = random.Random(2020)
     for i in range(45):
         n = i % 10 + 1
-        closed = list(random_graph(n, (0.15, 0.3, 0.5)[i % 3], seed=i).closed_adj)
-        for start in range(n):
-            later = closed[start:]
-            reach = reduce(or_, later)
-            # the covers of the sets of at most `slots` vertices from start up
-            unions = {s: [reduce(or_, c, 0) for c in combinations(later, min(s, len(later)))]
-                      for s in range(5)}
-            unions[-1] = []  # no set has -1 vertices
-            for _ in range(12):
-                unc = reach & rng.getrandbits(n)
-                for slots in range(-1, 5):
-                    if unc.bit_count() <= slots:
-                        continue
-                    covered = any(not unc & ~u for u in unions[slots])
-                    cut = _pykern._cut(closed, start, unc, slots)
-                    if slots <= 2:
-                        assert cut != covered, (closed, start, unc, slots)
-                    else:
-                        assert not (cut and covered), (closed, start, unc, slots)
+        g = random_graph(n, (0.15, 0.3, 0.5)[i % 3], seed=i)
+        for closed in (list(g.closed_adj), square(g)):
+            for start in range(n):
+                later = closed[start:]
+                reach = reduce(or_, later)
+                # the covers of the sets of at most `slots` vertices from start up
+                unions = {s: [reduce(or_, c, 0) for c in combinations(later, min(s, len(later)))]
+                          for s in range(5)}
+                unions[-1] = []  # no set has -1 vertices
+                for _ in range(12):
+                    unc = reach & rng.getrandbits(n)
+                    for slots in range(-1, 5):
+                        if unc.bit_count() <= slots:
+                            continue
+                        covered = any(not unc & ~u for u in unions[slots])
+                        cut = _pykern._cut(closed, start, unc, slots)
+                        if slots <= 2:
+                            assert cut != covered, (closed, start, unc, slots)
+                        else:
+                            assert not (cut and covered), (closed, start, unc, slots)
 
 
 def test_scans_identical(compiled):
-    for g in corpus():
+    for g in corpus() + disconnected():
         closed = list(g.closed_adj)
         if not closed or len(closed) > SCAN_MAX:
             continue
+        gamma = _pykern.solve_dd(closed, -1, 0, g.n)[0]
         assert (_pykern.scan_minimal_ds(closed) == compiled.scan_minimal_ds(closed)
                 == compiled.scan_minimal_ds(g.closed_adj))
-        assert (_pykern.scan_irredundance(closed) == compiled.scan_irredundance(closed)
-                == compiled.scan_irredundance(g.closed_adj))
+        assert (_walks(_pykern, closed, gamma) == _walks(compiled, closed, gamma)
+                == _walks(compiled, g.closed_adj, gamma)), g.edges()
 
 
-def _irredundance_by_predicates(g):
-    """(ir, Γ, IR) from the engine's predicates over all 2^n subsets."""
+@lru_cache(maxsize=None)
+def _irredundant_by_predicates(g):
+    """(irredundant, maximal irredundant, dominating) masks of ``g``, from
+    the engine's predicates over all 2^n subsets."""
     size = 1 << g.n
     irr = [is_irredundant(g, VertexSet(g.n, m)) for m in range(size)]
     sets = [m for m in range(size) if irr[m]]
     maximal = [m for m in sets if all(m >> x & 1 or not irr[m | 1 << x] for x in range(g.n))]
-    dominating = [m for m in sets if is_dominating(g, VertexSet(g.n, m))]
-    return (min(m.bit_count() for m in maximal), max(m.bit_count() for m in dominating),
-            max(m.bit_count() for m in sets))
+    dominating = {m for m in range(size) if is_dominating(g, VertexSet(g.n, m))}
+    return sets, maximal, dominating
 
 
 def test_irredundance_walk_matches_predicates_exhaustive(compiled, graph_classes_7):
     for g, _ in graph_classes_7:
         closed = list(g.closed_adj)
-        expected = _irredundance_by_predicates(g)
-        assert _pykern.scan_irredundance(closed) == expected, g.edges()
-        assert compiled.scan_irredundance(closed) == expected, g.edges()
+        sets, maximal, dominating = _irredundant_by_predicates(g)
+        gamma = min(m.bit_count() for m in dominating)
+        # a dominating irredundant set is minimal dominating
+        expected = (min(m.bit_count() for m in maximal),
+                    max(m.bit_count() for m in sets if m in dominating),
+                    max(m.bit_count() for m in sets))
+        assert _walks(_pykern, closed, gamma) == expected, g.edges()
+        assert _walks(compiled, closed, gamma) == expected, g.edges()
+
+
+def test_maximal_irredundant_sets_dominate_the_square(graph_classes_7):
+    # The lemma behind scan_ir's bound, ir(G) ≥ γ(G²): for w outside a
+    # maximal irredundant set S, either S dominates w, or adding w leaves
+    # some member s no private vertex, so all of them lie in N[w] and w is
+    # within distance 2 of s.
+    for g, _ in graph_classes_7:
+        far = square(g)
+        for m in _irredundant_by_predicates(g)[1]:
+            assert reduce(or_, (far[v] for v in range(g.n) if m >> v & 1), 0) == g.full_mask, (g.edges(), m)
 
 
 def test_irredundance_walk_keeps_upper_gamma_below_upper_ir(compiled):
@@ -190,17 +226,20 @@ def test_irredundance_walk_keeps_upper_gamma_below_upper_ir(compiled):
         [8595, 7459, 4844, 604, 1465, 11382, 620, 1429, 403, 6732, 11442, 3618, 12806, 13345],
         [12379, 4211, 10436, 425, 6675, 9642, 10823, 1452, 8616, 9808, 3744, 15444, 6163, 11109],
     ):
-        assert _pykern.scan_irredundance(closed) == (3, 4, 5)
-        assert compiled.scan_irredundance(closed) == (3, 4, 5)
+        gamma = _pykern.solve_dd(closed, -1, 0, len(closed))[0]
+        assert _walks(_pykern, closed, gamma) == (3, 4, 5)
+        assert _walks(compiled, closed, gamma) == (3, 4, 5)
 
 
 def test_walks_need_no_subset_table():
     # a table over all 2^20 subsets takes 8 MiB or more
     closed = list(random_graph(20, 0.15, seed=2015).closed_adj)
-    for scan in (_pykern.scan_irredundance, _pykern.scan_minimal_ds):
+    gamma = _pykern.solve_dd(closed, -1, 0, 20)[0]
+    for scan, args in ((_pykern.scan_irredundance, (closed,)), (_pykern.scan_minimal_ds, (closed,)),
+                       (_pykern.scan_ir, (closed, gamma))):
         tracemalloc.start()
         try:
-            scan(closed)
+            scan(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -246,6 +285,12 @@ def test_word_width_boundary_identical(compiled):
                 kern.scan_minimal_ds(closed)
             with pytest.raises(ValueError):
                 kern.scan_irredundance(closed)
+            with pytest.raises(ValueError):
+                kern.scan_ir(closed, 1)
+        # γ lies in 1..n
+        for gamma in (0, 4):
+            with pytest.raises(ValueError):
+                kern.scan_ir([1 << i for i in range(3)], gamma)
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
@@ -260,22 +305,33 @@ def test_signal_interrupts_compiled_search(compiled):
     # 25 tries each of the 2^22 ways to dominate the edges and then fails on
     # the rook's graph, an exhaustive search of 23-29 s (2-vCPU VM,
     # gcc -O2), in both the staged search and the sweep; the handler must
-    # run long before it ends. Every subset of 26 isolated vertices is
-    # irredundant and only the whole set is maximal, so the irredundance
-    # walk visits all 2^26 subsets (2.8 s on that VM).
+    # run long before it ends.
     k2, k4 = (generate(FamilySpec("complete", (m,))).graph for m in (2, 4))
     closed = list(disjoint_union([k2] * 22 + [product(k4, k4, "cartesian")]).closed_adj)
-    calls = [lambda: compiled.solve_dd(closed, -1, 25, 25),
-             lambda: compiled.solve_dd_all(closed, 25),
-             lambda: compiled.scan_irredundance([1 << i for i in range(26)])]
+    calls = [(lambda: compiled.solve_dd(closed, -1, 25, 25), 0.2, 2),
+             (lambda: compiled.solve_dd_all(closed, 25), 0.2, 2)]
+    # No input of at most 26 vertices is known that keeps a walk of
+    # irredundant sets busy for 0.2 s. The ir walk on six C4 and a K2
+    # (γ = ir = 13) is among the longest: about 0.1 s on that VM. Set to
+    # an eighth of its fastest uninterrupted time, the timer must stop it
+    # before half that time; a walk that never polled would raise only on
+    # its return.
+    c4 = generate(FamilySpec("cycle", (4,))).graph
+    cycles = list(disjoint_union([c4] * 6 + [k2]).closed_adj)
+    full = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        assert compiled.scan_ir(cycles, 13) == 13
+        full.append(time.perf_counter() - t0)
+    calls.append((lambda: compiled.scan_ir(cycles, 13), min(full) / 8, min(full) / 2))
     old = signal.signal(signal.SIGALRM, handler)
     try:
-        for call in calls:
-            signal.setitimer(signal.ITIMER_REAL, 0.2)
+        for call, timer, limit in calls:
+            signal.setitimer(signal.ITIMER_REAL, timer)
             t0 = time.perf_counter()
             with pytest.raises(Interrupted):
                 call()
-            assert time.perf_counter() - t0 < 2
+            assert time.perf_counter() - t0 < limit
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)

@@ -83,14 +83,15 @@ def test_profile_runs_one_subset_scan(monkeypatch):
                 return getattr(kern, name)(*args)
             return call
 
-        names = ("solve_dd", "solve_dd_all", "scan_minimal_ds", "scan_irredundance")
+        names = ("solve_dd", "solve_dd_all", "scan_minimal_ds", "scan_irredundance", "scan_ir")
         return SimpleNamespace(**{name: wrap(name) for name in names})
 
     monkeypatch.setattr(engine, "kernels_for", counting)
     g = random_graph(9, 0.4, 7)
     domination_profile(g)
-    # the one scan, then one sweep for γ and every vertex's degree
-    assert calls == {"solve_dd_all": 1, "scan_irredundance": 1}
+    # one sweep for γ and every vertex's degree, then the Γ/IR walk and the
+    # ir walk, which starts from that γ
+    assert calls == {"solve_dd_all": 1, "scan_irredundance": 1, "scan_ir": 1}
 
 
 def test_families_full_grid_and_ledger(tmp_path):

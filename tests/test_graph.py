@@ -102,6 +102,17 @@ def test_max_degree_families():
     assert max_degree(star) == 4
 
 
+def test_max_degree_computed_once_per_graph():
+    # Δ is a cached property of the immutable graph: the first read stores it
+    g = path(5)
+    assert "max_degree" not in vars(g)
+    assert max_degree(g) == g.max_degree == 2
+    assert vars(g)["max_degree"] == 2
+    assert new_graph(0, []).max_degree == 0
+    with pytest.raises(VertexOutOfRange):
+        max_degree(new_graph(0, []))
+
+
 def test_connectivity():
     two_k2 = new_graph(4, [(0, 1), (2, 3)])
     assert not is_connected(two_k2)
