@@ -1,15 +1,17 @@
 /* Compiled search kernels.
 
-   Twin of _pykern (see its docstring for the kernel contract): same
-   candidate order, same pruning, same results and witnesses. One stage
-   walk serves both searches, from three seeds: solve_dd(v) at the root
-   {v}, solve_dd(-1) and solve_dd_all at the root ∅. Three walks of
-   irredundant sets give the minimal dominating sets (scan_minimal_ds),
-   Γ and IR (scan_irredundance), and ir (scan_ir, from γ down, bounded
-   by the domination of G²). One bound helper, pruned, serves the stage
-   walk on G and scan_ir on G². Restricted to graphs with at most 64
-   vertices, so every mask fits one machine word.
-   Long searches and walks poll for signals, so Ctrl-C stops them.
+   Twin of _pykern (see its docstring for the kernel contract), step for
+   step: same candidate order, same tests in the same order, same results
+   and witnesses. Each call keeps one State. One stage walk serves both
+   searches, from three seeds: solve_dd(v) at the root {v}, solve_dd(-1)
+   and solve_dd_all at the root ∅. Three walks of irredundant sets give
+   the minimal dominating sets (scan_minimal_ds), Γ and IR
+   (scan_irredundance), and ir (scan_ir, from γ down, bounded by the
+   domination of G²). The stage walk and scan_ir test each child before
+   they enter it, with one bound helper, pruned, on G and on G².
+   Restricted to graphs with at most 64 vertices, so every mask fits one
+   machine word. Long searches and walks poll for signals, so Ctrl-C
+   stops them.
 
    Build with `python setup.py build_ext --inplace`. */
 
@@ -26,11 +28,35 @@ typedef unsigned long long u64;
 #define POPCOUNT(x) __builtin_popcountll(x)
 #define CTZ(x) __builtin_ctzll(x)
 
-/* Copy the int masks of the sequence `closed` into cl[]. Returns n, or
-   -1 with an exception set when n is outside 1..maxn or a mask is not a
-   non-negative int below 2^64. */
+/* The state of one kernel call, whichever walk it runs. reach[x] is what
+   closed[x..n) dominate together (for scan_ir, square[x..n)). priv[d]
+   holds, for a set of d chosen vertices, the private territory of each
+   of them in the order chosen; each depth has its own row, so
+   backtracking restores nothing. nodes counts the entries to a walk.
+     - The stage walk: stage k; todo, the open vertices; wild, the open
+       vertices that every dominating set serves, member or not. A
+       dominating set that serves u sets size[u] and found[u].
+     - scan_minimal_ds: the sets found so far, sets[0..count).
+     - scan_irredundance: Γ and IR so far.
+     - scan_ir: lo, the size of the smallest maximal irredundant set found
+       so far; stop, the size at which it ends; square[], the closed
+       neighbourhoods of G². */
+typedef struct {
+    int n, k, lo, stop, upper_gamma, upper_ir;
+    u64 full, nodes, todo, wild;
+    u64 closed[MAXN], reach[MAXN + 1], square[MAXN];
+    int size[MAXN];
+    u64 found[MAXN];
+    u64 priv[MAXN + 1][MAXN];
+    u64 *sets;
+    size_t count, room;
+} State;
+
+/* Reads the sequence `closed` of int masks into s->closed and sets up
+   the rest of the state. 0, or -1 with an exception set when n is
+   outside 1..maxn or a mask is not a non-negative int below 2^64. */
 static int
-read_closed(PyObject *closed, u64 *cl, int maxn, const char *what)
+init(State *s, PyObject *closed, int maxn, const char *what)
 {
     PyObject *seq = PySequence_Fast(closed, "closed must be a sequence of int masks");
     if (seq == NULL)
@@ -43,58 +69,49 @@ read_closed(PyObject *closed, u64 *cl, int maxn, const char *what)
     }
     PyObject **items = PySequence_Fast_ITEMS(seq);
     for (Py_ssize_t i = 0; i < n; i++) {
-        cl[i] = PyLong_AsUnsignedLongLong(items[i]);
-        if (cl[i] == (u64)-1 && PyErr_Occurred()) {
+        s->closed[i] = PyLong_AsUnsignedLongLong(items[i]);
+        if (s->closed[i] == (u64)-1 && PyErr_Occurred()) {
             Py_DECREF(seq);
             return -1;
         }
     }
     Py_DECREF(seq);
-    return (int)n;
+    s->n = (int)n;
+    s->full = n == 64 ? ~0ULL : (1ULL << n) - 1;
+    s->nodes = 0;
+    s->reach[n] = 0;
+    for (int x = s->n - 1; x >= 0; x--)
+        s->reach[x] = s->reach[x + 1] | s->closed[x];
+    s->upper_gamma = s->upper_ir = 0;
+    s->sets = NULL;
+    s->count = s->room = 0;
+    return 0;
 }
 
-/* The stage walk (see the kernel contract in _pykern): one stage
-   extends the root to at most k vertices. priv[d] holds, for a set of d
-   chosen vertices, the private territory of each of them in the order
-   chosen; each depth has its own row, so backtracking restores nothing.
-   root: the seed set, at most one vertex, whose closed neighbourhood is
-   `cover`. todo: the open vertices; wild: the open vertices that every
-   dominating set serves, member or not. A dominating set that serves u
-   sets size[u] and found[u]. */
-typedef struct {
-    int n, k;
-    u64 full, nodes, root, cover, todo, wild;
-    u64 closed[MAXN];
-    int size[MAXN];
-    u64 found[MAXN];
-    u64 priv[MAXN + 1][MAXN];
-} Search;
-
-/* Whether a branch that leaves `unc` uncovered, in the graph whose
-   closed neighbourhoods are closed[0..n), and may still add `slots`
-   vertices from `later` is pruned: no slot is left, or a bound shows
-   that no such set of vertices covers `unc`: with one or two slots, an
-   exact test; with more, the packing and budget bounds. The bounds
-   count only the vertices the branch may still add, so they prune only
-   branches that cannot cover `unc`. */
-static inline __attribute__((always_inline)) int
-pruned(const u64 *closed, int n, u64 unc, int slots, u64 later)
+/* Counts one node: -1 when a signal handler raised; polls every 2^16. */
+static inline int
+poll(State *s)
 {
-    if (slots <= 0)
-        return 1;
-    int need = POPCOUNT(unc);
-    if (need <= slots) {
-        /* neither bound can count past `slots`: only an uncovered vertex
-           with no later dominator prunes */
-        for (u64 rest = unc; rest != 0; rest &= rest - 1)
-            if ((closed[CTZ(rest)] & later) == 0)
-                return 1;
-        return 0;
-    }
+    return (++s->nodes & POLL) == 0 ? PyErr_CheckSignals() : 0;
+}
+
+/* Whether the bounds cut a set that leaves `unc` uncovered, in the graph
+   whose closed neighbourhoods are closed[0..n), and may add `slots` more
+   vertices, all from id `start` up: the exact completion test for at
+   most two slots, else the packing and budget bounds. The caller has
+   checked that such a vertex dominates each vertex of unc, and that unc
+   has more vertices than `slots`: with no more, at most `slots` such
+   vertices cover it. */
+static inline __attribute__((always_inline)) int
+pruned(const u64 *closed, int n, int start, u64 unc, int slots)
+{
+    u64 later = ~0ULL << start;  /* ids start and up; start < n <= 64 */
     if (slots <= 2) {
         /* exact: a later dominator d of the lowest uncovered vertex
            covers unc, or with two slots, d and a later dominator of the
            lowest vertex that d leaves uncovered do */
+        if (slots < 1)
+            return 1;
         for (u64 d = closed[CTZ(unc)] & later; d != 0; d &= d - 1) {
             u64 rest = unc & ~closed[CTZ(d)];
             if (rest == 0)
@@ -110,20 +127,18 @@ pruned(const u64 *closed, int n, u64 unc, int slots, u64 later)
        each need an added vertex of their own */
     int packed = 0;
     for (u64 rest = unc; rest != 0;) {
-        u64 doms = closed[CTZ(rest)] & later;
-        if (doms == 0 || ++packed > slots)
+        if (++packed > slots)
             return 1;
-        for (; doms != 0; doms &= doms - 1)
+        for (u64 doms = closed[CTZ(rest)] & later; doms != 0; doms &= doms - 1)
             rest &= ~closed[CTZ(doms)];
     }
-
     /* budget bound over later candidates: the best `slots` gains must
-       reach `need` */
-    int hist[MAXN + 1], top = 0;
+       reach the uncovered count */
+    int hist[MAXN + 1], top = 0, need = POPCOUNT(unc);
     for (int c = 0; c <= n; c++)  /* a gain is at most |unc| <= n */
         hist[c] = 0;
-    for (u64 rest = later; rest != 0; rest &= rest - 1) {
-        int c = POPCOUNT(closed[CTZ(rest)] & unc);
+    for (int x = start; x < n; x++) {
+        int c = POPCOUNT(closed[x] & unc);
         hist[c]++;
         if (c > top)
             top = c;
@@ -136,89 +151,104 @@ pruned(const u64 *closed, int n, u64 unc, int slots, u64 later)
     return need > 0;
 }
 
-/* Whether adding x to the set of `depth` chosen vertices, which covers
-   `cover`, keeps it irredundant; if so, row depth + 1 of s->priv holds
-   the private territories of the set plus x. */
+/* Whether adding a vertex with closed neighbourhood cx to the set of
+   `depth` members with private territories privs[], which leaves `unc`
+   uncovered, keeps it irredundant: the new member's territory cx & unc
+   is not empty, and no member loses its last private vertex. */
 static inline int
-admit(Search *s, int depth, int x, u64 cover)
+extends(const u64 *privs, int depth, u64 cx, u64 unc)
 {
-    u64 cx = s->closed[x], gain = cx & ~cover;
-    if (gain == 0)
-        return 0;  /* x would arrive with empty private territory */
-    const u64 *privs = s->priv[depth];
-    u64 *kept = s->priv[depth + 1];
-    int j = 0;
-    while (j < depth && (kept[j] = privs[j] & ~cx) != 0)
-        j++;
-    if (j < depth)
-        return 0;  /* x would take a member's last private vertex */
-    kept[depth] = gain;
+    if ((cx & unc) == 0)
+        return 0;
+    for (int j = 0; j < depth; j++)
+        if ((privs[j] & ~cx) == 0)
+            return 0;
     return 1;
 }
 
-/* One stage of the walk below the set `mask` of `depth` chosen vertices,
-   which covers `cover`. Candidates ascend by id, so a branch may add
-   only vertices above `last`, and sets arrive in lexicographic order.
-   The bit of a root vertex in `later` is harmless, as its closed
-   neighbourhood is covered and so dominates no uncovered vertex. 0, or
-   -1 when a signal handler raised. */
-static int
-walk(Search *s, int depth, int last, u64 cover, u64 mask)
+/* Row depth + 1 of s->priv for the set plus x. */
+static inline void
+keep(State *s, int depth, int x, u64 unc)
 {
-    if ((++s->nodes & POLL) == 0 && PyErr_CheckSignals() < 0)
-        return -1;
-    if (cover == s->full) {
-        u64 hits = (mask | s->wild) & s->todo;
-        s->todo &= ~hits;
-        for (; hits != 0; hits &= hits - 1) {
-            s->size[CTZ(hits)] = depth;
-            s->found[CTZ(hits)] = mask;
-        }
-        return 0;
+    const u64 *privs = s->priv[depth];
+    u64 *kept = s->priv[depth + 1], cx = s->closed[x];
+    for (int j = 0; j < depth; j++)
+        kept[j] = privs[j] & ~cx;
+    kept[depth] = cx & unc;
+}
+
+/* Records the dominating set `mask` of `size` vertices for the open
+   vertices it serves, and closes them. */
+static void
+serve(State *s, int size, u64 mask)
+{
+    u64 hits = (mask | s->wild) & s->todo;
+    s->todo &= ~hits;
+    for (; hits != 0; hits &= hits - 1) {
+        s->size[CTZ(hits)] = size;
+        s->found[CTZ(hits)] = mask;
     }
-    int next = last + 1;  /* later: the vertices a branch may still add */
-    u64 later = next < s->n ? s->full >> next << next : 0;
-    if (((mask | later | s->wild) & s->todo) == 0
-        || pruned(s->closed, s->n, s->full & ~cover, s->k - depth, later))
-        return 0;
-    for (int x = last + 1; x < s->n && s->todo != 0; x++) {
-        if (!admit(s, depth, x, cover))
+}
+
+/* One stage of the walk below the set `mask` of `depth` chosen vertices,
+   which leaves `unc` uncovered and passed the bounds. Candidates ascend
+   by id from `start`, so sets arrive in lexicographic order; each child
+   is tested before it is entered. 0, or -1 when a signal handler raised. */
+static int
+walk(State *s, int depth, int start, u64 unc, u64 mask)
+{
+    if (poll(s) < 0)
+        return -1;
+    int slots = s->k - depth - 1;  /* left to a child */
+    u64 held = (mask | s->wild) & s->todo;  /* open vertices that every set below serves */
+    for (int x = start; x < s->n; x++) {
+        u64 cx = s->closed[x], rest = unc & ~cx;
+        if ((cx & unc) == 0)
+            continue;  /* x would gain no private vertex, as a root vertex never does */
+        /* no slot left, an uncovered vertex with no later dominator, or
+           no set below the child that serves an open vertex */
+        if (rest != 0 && (slots == 0 || (rest & ~s->reach[x + 1]) != 0
+                          || (held == 0 && (s->todo >> x) == 0)))
             continue;
-        if (walk(s, depth + 1, x, cover | s->closed[x], mask | 1ULL << x) < 0)
-            return -1;
+        if (!extends(s->priv[depth], depth, cx, unc))
+            continue;  /* x would take a member's last private vertex */
+        if (rest == 0)
+            serve(s, depth + 1, mask | 1ULL << x);
+        else if (POPCOUNT(rest) <= slots || !pruned(s->closed, s->n, x + 1, rest, slots)) {
+            keep(s, depth, x, unc);
+            if (walk(s, depth + 1, x + 1, rest, mask | 1ULL << x) < 0)
+                return -1;
+        }
+        if (s->todo == 0)
+            return 0;
+        held &= s->todo;
     }
     return 0;
 }
 
-/* Reads the graph and seeds the walk: for v >= 0 the root {v} with
-   only v open, for v < 0 the root ∅ with every vertex open. 0, or -1
+/* Stages k = max(k_lo, 1) .. k_hi of the walk from the root {v} with
+   only v open, or for v < 0 from the root ∅ with every vertex open,
+   until no vertex is open. A dominating set serves its open members and
+   the open vertices in `wild`. Each stage tests the root once. 0, or -1
    with an exception set. */
 static int
-seed(Search *s, PyObject *closed, int v, u64 wild)
+stages(State *s, int v, u64 wild, int k_lo, int k_hi)
 {
-    s->n = read_closed(closed, s->closed, MAXN, "compiled kernel");
-    if (s->n < 0)
-        return -1;
     if (v >= s->n) {
         PyErr_Format(PyExc_IndexError, "vertex %d out of range for %d vertices", v, s->n);
         return -1;
     }
-    s->full = s->n == 64 ? ~0ULL : (1ULL << s->n) - 1;
-    s->nodes = 0;
-    s->root = v < 0 ? 0 : 1ULL << v;
-    s->priv[1][0] = s->cover = v < 0 ? 0 : s->closed[v];
-    s->todo = v < 0 ? s->full : s->root;
+    int depth = v >= 0;
+    u64 mask = v < 0 ? 0 : 1ULL << v, unc = v < 0 ? s->full : s->full & ~s->closed[v];
+    s->priv[1][0] = v < 0 ? 0 : s->closed[v];
+    s->todo = v < 0 ? s->full : mask;
     s->wild = wild;
-    return 0;
-}
-
-/* Stages k = max(k_lo, 1) .. k_hi of the walk, until no vertex is open.
-   0, or -1 when a signal handler raised. */
-static int
-stages(Search *s, int k_lo, int k_hi)
-{
     for (s->k = k_lo < 1 ? 1 : k_lo; s->k <= k_hi && s->todo != 0; s->k++) {
-        if (walk(s, POPCOUNT(s->root), -1, s->cover, s->root) < 0)
+        int slots = s->k - depth;
+        if (unc == 0)
+            serve(s, depth, mask);  /* v dominates every vertex */
+        else if ((POPCOUNT(unc) <= slots || !pruned(s->closed, s->n, 0, unc, slots))
+                 && walk(s, depth, 0, unc, mask) < 0)
             return -1;
         if (s->k >= s->n)
             break;  /* every stage above n walks the same tree as stage n */
@@ -228,7 +258,7 @@ stages(Search *s, int k_lo, int k_hi)
 
 /* (size[u], found[u]), or None when no set served u. */
 static PyObject *
-served(const Search *s, int u)
+served(const State *s, int u)
 {
     if (s->todo >> u & 1)
         Py_RETURN_NONE;
@@ -257,7 +287,7 @@ static PyObject *
 solve_dd(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     int v, k_lo, k_hi;
-    Search s;
+    State s;
     if (nargs != 4) {
         PyErr_Format(PyExc_TypeError, "solve_dd expected 4 arguments, got %zd", nargs);
         return NULL;
@@ -265,7 +295,8 @@ solve_dd(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     if (as_int(args[1], &v) < 0 || as_int(args[2], &k_lo) < 0 || as_int(args[3], &k_hi) < 0)
         return NULL;
     /* for v < 0, the first set reached serves every vertex */
-    if (seed(&s, args[0], v, v < 0 ? ~0ULL : 0) < 0 || stages(&s, k_lo, k_hi) < 0)
+    if (init(&s, args[0], MAXN, "compiled kernel") < 0
+        || stages(&s, v, v < 0 ? ~0ULL : 0, k_lo, k_hi) < 0)
         return NULL;
     return served(&s, v < 0 ? 0 : v);
 }
@@ -275,13 +306,14 @@ static PyObject *
 solve_dd_all(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     int k_lo;
-    Search s;
+    State s;
     if (nargs != 2) {
         PyErr_Format(PyExc_TypeError, "solve_dd_all expected 2 arguments, got %zd", nargs);
         return NULL;
     }
     /* a set serves its own members */
-    if (as_int(args[1], &k_lo) < 0 || seed(&s, args[0], -1, 0) < 0 || stages(&s, k_lo, s.n) < 0)
+    if (as_int(args[1], &k_lo) < 0 || init(&s, args[0], MAXN, "compiled kernel") < 0
+        || stages(&s, -1, 0, k_lo, s.n) < 0)
         return NULL;
     PyObject *out = PyList_New(s.n);
     for (int u = 0; out != NULL && u < s.n; u++) {
@@ -294,97 +326,36 @@ solve_dd_all(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     return out;
 }
 
-/* A walk of irredundant sets (see the kernel contract in _pykern): a
+/* The walks of irredundant sets (see the kernel contract in _pykern): a
    set is extended only by vertices above its highest member that keep
-   every member's private territory nonempty. priv[d] holds, for a set
-   of d members, each member's private territory; each depth has its own
-   row, as in Search. reach[x] is what closed[x..n) dominate together.
-   scan_ir also keeps square[], the closed neighbourhoods of G². */
-typedef struct {
-    int n, lo, stop, upper_gamma, upper_ir;
-    u64 full, nodes;
-    u64 closed[MAXSCAN], reach[MAXSCAN + 1], square[MAXSCAN];
-    u64 priv[MAXSCAN + 1][MAXSCAN];
-    u64 *found;            /* scan_minimal_ds: the sets found so far */
-    size_t count, room;
-} Walk;
-
+   every member's private territory nonempty. 0, or -1 with an exception
+   set. */
 static int
-walk_init(Walk *w, PyObject *closed)
+mds_walk(State *s, int depth, int start, u64 cover, u64 mask)
 {
-    w->n = read_closed(closed, w->closed, MAXSCAN, "irredundant-set walk");
-    if (w->n < 0)
+    if (poll(s) < 0)
         return -1;
-    w->full = (1ULL << w->n) - 1;
-    w->nodes = 0;
-    w->reach[w->n] = 0;
-    for (int x = w->n - 1; x >= 0; x--)
-        w->reach[x] = w->reach[x + 1] | w->closed[x];
-    w->upper_gamma = w->upper_ir = 0;
-    w->found = NULL;
-    w->count = w->room = 0;
-    return 0;
-}
-
-/* Whether adding a vertex with closed neighbourhood cx to the set of
-   `depth` members with private territories privs[] leaves it
-   irredundant; the new member's territory is cx & unc. */
-static inline int
-extends(const u64 *privs, int depth, u64 cx, u64 unc)
-{
-    if ((cx & unc) == 0)
-        return 0;
-    for (int j = 0; j < depth; j++)
-        if ((privs[j] & ~cx) == 0)
-            return 0;
-    return 1;
-}
-
-/* Row depth + 1 of w->priv for the set plus x. */
-static inline void
-keep(Walk *w, int depth, int x, u64 unc)
-{
-    const u64 *privs = w->priv[depth];
-    u64 *kept = w->priv[depth + 1], cx = w->closed[x];
-    for (int j = 0; j < depth; j++)
-        kept[j] = privs[j] & ~cx;
-    kept[depth] = cx & unc;
-}
-
-/* -1 when a signal handler raised; polls every 2^16 nodes. */
-static inline int
-walk_poll(Walk *w)
-{
-    return (++w->nodes & POLL) == 0 ? PyErr_CheckSignals() : 0;
-}
-
-/* 0, or -1 with an exception set. */
-static int
-mds_walk(Walk *w, int depth, int start, u64 cover, u64 mask)
-{
-    if (walk_poll(w) < 0)
-        return -1;
-    if (cover == w->full) {  /* not extended: no added vertex has a private vertex */
-        if (w->count == w->room) {
-            w->room = w->room ? 2 * w->room : 1024;
-            u64 *grown = realloc(w->found, w->room * sizeof(u64));
+    if (cover == s->full) {  /* not extended: no added vertex has a private vertex */
+        if (s->count == s->room) {
+            s->room = s->room ? 2 * s->room : 1024;
+            u64 *grown = realloc(s->sets, s->room * sizeof(u64));
             if (grown == NULL) {
                 PyErr_NoMemory();
                 return -1;
             }
-            w->found = grown;
+            s->sets = grown;
         }
-        w->found[w->count++] = mask;
+        s->sets[s->count++] = mask;
         return 0;
     }
-    u64 unc = w->full & ~cover;
-    if (unc & ~w->reach[start])
+    u64 unc = s->full & ~cover;
+    if (unc & ~s->reach[start])
         return 0;  /* no later vertex dominates some uncovered vertex */
-    for (int x = start; x < w->n; x++) {
-        if (!extends(w->priv[depth], depth, w->closed[x], unc))
+    for (int x = start; x < s->n; x++) {
+        if (!extends(s->priv[depth], depth, s->closed[x], unc))
             continue;
-        keep(w, depth, x, unc);
-        if (mds_walk(w, depth + 1, x + 1, cover | w->closed[x], mask | 1ULL << x) < 0)
+        keep(s, depth, x, unc);
+        if (mds_walk(s, depth + 1, x + 1, cover | s->closed[x], mask | 1ULL << x) < 0)
             return -1;
     }
     return 0;
@@ -404,63 +375,61 @@ by_size(const void *a, const void *b)
 static PyObject *
 scan_minimal_ds(PyObject *Py_UNUSED(self), PyObject *closed)
 {
-    Walk w;
-    if (walk_init(&w, closed) < 0)
+    State s;
+    if (init(&s, closed, MAXSCAN, "irredundant-set walk") < 0)
         return NULL;
     PyObject *out = NULL;
-    if (mds_walk(&w, 0, 0, 0, 0) < 0)
+    if (mds_walk(&s, 0, 0, 0, 0) < 0)
         goto done;
-    if (w.count > 1)
-        qsort(w.found, w.count, sizeof(u64), by_size);
-    out = PyList_New((Py_ssize_t)w.count);
-    for (size_t i = 0; out != NULL && i < w.count; i++) {
-        PyObject *mask = PyLong_FromUnsignedLongLong(w.found[i]);
+    if (s.count > 1)
+        qsort(s.sets, s.count, sizeof(u64), by_size);
+    out = PyList_New((Py_ssize_t)s.count);
+    for (size_t i = 0; out != NULL && i < s.count; i++) {
+        PyObject *mask = PyLong_FromUnsignedLongLong(s.sets[i]);
         if (mask == NULL)
             Py_CLEAR(out);
         else
             PyList_SET_ITEM(out, (Py_ssize_t)i, mask);
     }
 done:
-    free(w.found);
+    free(s.sets);
     return out;
 }
 
 /* 0, or -1 with an exception set. Tracks Γ and IR, and stops branches
    that can improve neither, as in _pykern. */
 static int
-irr_walk(Walk *w, int depth, int start, u64 cover)
+irr_walk(State *s, int depth, int start, u64 cover)
 {
-    if (walk_poll(w) < 0)
+    if (poll(s) < 0)
         return -1;
     int c = depth;
-    if (c > w->upper_ir)
-        w->upper_ir = c;
-    if (cover == w->full) {
-        /* minimal dominating */
-        if (c > w->upper_gamma)
-            w->upper_gamma = c;
+    if (c > s->upper_ir)
+        s->upper_ir = c;
+    if (cover == s->full) {  /* minimal dominating */
+        if (c > s->upper_gamma)
+            s->upper_gamma = c;
         return 0;
     }
     /* members added below take disjoint private territories from the
        uncovered vertices that later ones reach */
-    u64 unc = w->full & ~cover, r = unc & w->reach[start];
+    u64 unc = s->full & ~cover, r = unc & s->reach[start];
     int room = c + POPCOUNT(r);
-    if (room <= w->upper_ir && (r != unc || room <= w->upper_gamma))
+    if (room <= s->upper_ir && (r != unc || room <= s->upper_gamma))
         return 0;
-    const u64 *privs = w->priv[depth];
-    int kids[MAXSCAN], nkids = 0;
-    for (int x = start; x < w->n; x++)
-        if (extends(privs, depth, w->closed[x], unc))
+    int kids[MAXN], nkids = 0;
+    for (int x = start; x < s->n; x++)
+        if (extends(s->priv[depth], depth, s->closed[x], unc))
             kids[nkids++] = x;
     /* a descendant of the child by kids[i] adds only kids[i..), so it has
        at most `room` members, and it dominates only if they reach unc */
     for (int i = 0; i < nkids; i++) {
         int x = kids[i];
         room = c + nkids - i;
-        if (room <= w->upper_ir && (room <= w->upper_gamma || (unc & ~w->reach[x]) != 0))
+        if (room <= s->upper_ir && (room <= s->upper_gamma || (unc & ~s->reach[x]) != 0))
             break;
-        keep(w, depth, x, unc);
-        if (irr_walk(w, depth + 1, x + 1, cover | w->closed[x]) < 0)
+        keep(s, depth, x, unc);
+        if (irr_walk(s, depth + 1, x + 1, cover | s->closed[x]) < 0)
             return -1;
     }
     return 0;
@@ -469,50 +438,57 @@ irr_walk(Walk *w, int depth, int start, u64 cover)
 static PyObject *
 scan_irredundance(PyObject *Py_UNUSED(self), PyObject *closed)
 {
-    Walk w;
-    if (walk_init(&w, closed) < 0 || irr_walk(&w, 0, 0, 0) < 0)
+    State s;
+    if (init(&s, closed, MAXSCAN, "irredundant-set walk") < 0 || irr_walk(&s, 0, 0, 0) < 0)
         return NULL;
-    return Py_BuildValue("(ii)", w.upper_gamma, w.upper_ir);
+    return Py_BuildValue("(ii)", s.upper_gamma, s.upper_ir);
 }
 
 /* 0, or -1 with an exception set. Looks for a maximal irredundant set
-   smaller than w->lo, as in _pykern: the set of `depth` members covers
-   `cover` in G and `far` in G², and may add vertices from `start` up. A
-   maximal irredundant set dominates G², so the branch is pruned when its
-   later vertices cannot cover the rest of G² within lo - 1 members. */
+   smaller than s->lo, as in _pykern: the set of `depth` members, which
+   passed the bounds, covers `cover` in G and `far` in G², and may add
+   vertices from `start` up. A maximal irredundant set dominates G², so
+   a child is cut when its later vertices cannot cover the rest of G²
+   within lo - 1 members. */
 static int
-ir_walk(Walk *w, int depth, int start, u64 cover, u64 far)
+ir_walk(State *s, int depth, int start, u64 cover, u64 far)
 {
-    if (walk_poll(w) < 0)
+    if (poll(s) < 0)
         return -1;
-    int slots = w->lo - 1 - depth;
-    u64 rest = w->full & ~far, later = w->full >> start << start;
-    if (w->lo <= w->stop || slots < 0
-        || (rest != 0 && pruned(w->square, w->n, rest, slots, later)))
-        return 0;
-    u64 unc = w->full & ~cover;
-    const u64 *privs = w->priv[depth];
-    /* vertices below `end` are tested for extending a set that no later
-       vertex extends: all of them when no child stays below lo */
-    int maximal = 1, end = w->n;
-    if (slots > 0) {
-        end = start;
-        for (int x = start; x < w->n && w->lo > w->stop && w->lo - 1 - depth > 0; x++) {
-            if (!extends(privs, depth, w->closed[x], unc))
+    u64 unc = s->full & ~cover;
+    int slots = s->lo - 2 - depth;  /* left to a child, which stays below lo */
+    int end = s->n;  /* when no child stays below lo, all vertices are tested */
+    if (slots >= 0) {
+        int maximal = 1;
+        for (int x = start; x < s->n; x++) {
+            u64 cx = s->closed[x];
+            if (!extends(s->priv[depth], depth, cx, unc))
                 continue;
             maximal = 0;
-            keep(w, depth, x, unc);
-            if (ir_walk(w, depth + 1, x + 1, cover | w->closed[x], far | w->square[x]) < 0)
+            /* no slot left, a vertex far from the child with no later
+               G²-dominator, or the bounds of the stage walk in G² */
+            u64 rest = s->full & ~(far | s->square[x]);
+            if (rest != 0 && (slots == 0 || (rest & ~s->reach[x + 1]) != 0
+                              || (POPCOUNT(rest) > slots
+                                  && pruned(s->square, s->n, x + 1, rest, slots))))
+                continue;
+            keep(s, depth, x, unc);
+            if (ir_walk(s, depth + 1, x + 1, cover | cx, far | s->square[x]) < 0)
                 return -1;
+            slots = s->lo - 2 - depth;
+            if (s->lo <= s->stop || slots < 0)
+                return 0;
         }
+        if (!maximal)
+            return 0;
+        end = start;
     }
-    if (maximal) {
-        int x = 0;
-        while (x < end && !extends(privs, depth, w->closed[x], unc))
-            x++;
-        if (x == end)
-            w->lo = depth;
-    }
+    /* maximal unless another vertex (a lower one, when no later vertex
+       extends the set) keeps it irredundant */
+    for (int x = 0; x < end; x++)
+        if (extends(s->priv[depth], depth, s->closed[x], unc))
+            return 0;
+    s->lo = depth;
     return 0;
 }
 
@@ -520,26 +496,28 @@ ir_walk(Walk *w, int depth, int start, u64 cover, u64 far)
 static PyObject *
 scan_ir(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    Walk w;
+    State s;
     if (nargs != 2) {
         PyErr_Format(PyExc_TypeError, "scan_ir expected 2 arguments, got %zd", nargs);
         return NULL;
     }
-    if (walk_init(&w, args[0]) < 0 || as_int(args[1], &w.lo) < 0)
+    if (init(&s, args[0], MAXSCAN, "irredundant-set walk") < 0 || as_int(args[1], &s.lo) < 0)
         return NULL;
-    if (w.lo < 1 || w.lo > w.n) {
-        PyErr_Format(PyExc_ValueError, "gamma must lie in 1..%d, got %d", w.n, w.lo);
+    if (s.lo < 1 || s.lo > s.n) {
+        PyErr_Format(PyExc_ValueError, "gamma must lie in 1..%d, got %d", s.n, s.lo);
         return NULL;
     }
-    w.stop = (w.lo + 2) / 2;  /* ir >= ceil((gamma + 1) / 2), as gamma <= 2 ir - 1 */
-    for (int v = 0; v < w.n; v++) {
-        w.square[v] = 0;
-        for (u64 rest = w.closed[v]; rest != 0; rest &= rest - 1)
-            w.square[v] |= w.closed[CTZ(rest)];
+    s.stop = (s.lo + 2) / 2;  /* ir >= ceil((gamma + 1) / 2), as gamma <= 2 ir - 1 */
+    for (int v = s.n - 1; v >= 0; v--) {  /* reach over G² */
+        s.square[v] = 0;
+        for (u64 rest = s.closed[v]; rest != 0; rest &= rest - 1)
+            s.square[v] |= s.closed[CTZ(rest)];
+        s.reach[v] = s.reach[v + 1] | s.square[v];
     }
-    if (ir_walk(&w, 0, 0, 0, 0) < 0)
+    if (s.lo > s.stop && (s.n <= s.lo - 1 || !pruned(s.square, s.n, 0, s.full, s.lo - 1))
+        && ir_walk(&s, 0, 0, 0, 0) < 0)
         return NULL;
-    return PyLong_FromLong(w.lo);
+    return PyLong_FromLong(s.lo);
 }
 
 static PyMethodDef methods[] = {

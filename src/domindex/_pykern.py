@@ -58,10 +58,7 @@ them, and does not extend the set. It also prunes a branch none of
 whose sets can serve an open vertex, and stops once no vertex is open.
 Sets arrive in lexicographic order of their sorted ids, and candidate
 order is fixed, so the bounds change the walk's cost, not its records:
-each is the first set of the first stage that serves the vertex. This
-twin tests a set against the bounds before it enters the set (the root
-once per stage), and the compiled twin on entry, so both extend the
-same sets.
+each is the first set of the first stage that serves the vertex.
 
 scan_minimal_ds(closed)
     Every minimal dominating set, found by a walk of irredundant sets,
@@ -103,8 +100,7 @@ the size of the smallest one found so far:
   - lo starts at γ, as a minimum dominating set is maximal irredundant;
   - the walk stops once lo ≤ ⌈(γ+1)/2⌉, which ir cannot undercut, as
     γ ≤ 2·ir − 1 (Bollobás and Cockayne, J. Graph Theory 1979);
-  - a set S may add lo − 1 − |S| more vertices. This twin tests each
-    child before it enters it, and the compiled twin on entry;
+  - a set S may add lo − 1 − |S| more vertices;
   - the G² bound. A maximal irredundant set S dominates G², the graph
     whose closed neighbourhoods are the vertices within distance 2: for
     w outside S, either S dominates w, or adding w leaves some member s
@@ -116,6 +112,8 @@ the size of the smallest one found so far:
     set of vertices completes;
   - a set that no vertex, higher or lower, extends is maximal, and lo
     falls to its size.
+Both twins test each child of the stage walk and of ``scan_ir`` against
+the bounds before entering it, and the root once per stage or walk.
 Memory is O(n^2) words plus the output.
 
 Every function raises ValueError for a graph with no vertices, the walks
@@ -128,7 +126,7 @@ vertices.
 from __future__ import annotations
 
 BACKEND_NAME = "python"
-_MAX_SCAN = 26  # as in the compiled twin: a walk of irredundant sets is exponential in n
+MAX_SCAN = 26  # as in the compiled twin: a walk of irredundant sets is exponential in n
 
 
 def solve_dd(closed, v, k_lo, k_hi):
@@ -257,8 +255,8 @@ def _walk(closed, v, wild, k_lo, k_hi):
 
 def _scan_order(closed):
     n = len(closed)
-    if not 1 <= n <= _MAX_SCAN:
-        raise ValueError(f"irredundant-set walk handles 1..{_MAX_SCAN} vertices, got {n}")
+    if not 1 <= n <= MAX_SCAN:
+        raise ValueError(f"irredundant-set walk handles 1..{MAX_SCAN} vertices, got {n}")
     return n
 
 

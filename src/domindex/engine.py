@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Iterator
 
+from ._pykern import MAX_SCAN
 from .backend import kernels_for
 from .errors import (
     ExactCapExceeded,
@@ -53,7 +54,6 @@ from .graph import Graph, VertexSet, bits_of, mask_of
 
 DEFAULT_EXACT_CAP = 24   # staged searches, profiles, Γ/ir/IR, set enumeration
 DEFAULT_SCAN_CAP = 20    # the oracle's subset scan
-_SCAN_HARD_CAP = 26      # the kernels' walks of irredundant sets stop at 26 vertices
 
 
 def _check_bound(g: Graph, s: VertexSet) -> None:
@@ -144,7 +144,7 @@ def _search_all(kern, g: Graph) -> list[tuple[int, int]]:
 def _walk(g: Graph, cap: int, what: str):
     """The kernel twin for a walk of irredundant sets on ``g``, once ``g``
     is within ``cap`` and the walks' limit."""
-    return _kernels(g, min(cap, _SCAN_HARD_CAP), what)
+    return _kernels(g, min(cap, MAX_SCAN), what)
 
 
 def _irredundance(kern, g: Graph, gamma: int) -> tuple[int, int, int]:

@@ -40,8 +40,11 @@ def compiled(tmp_path_factory):
     if cc is None:
         pytest.skip("no C compiler")
     out = tmp_path_factory.mktemp("kernels") / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
-    # warnings as errors: a static function or variable left unused fails here
+    # warnings as errors: a static function or variable left unused fails here.
+    # Undefined behaviour, such as a shift by 64, traps (SIGILL) without
+    # needing the sanitizer's runtime library.
     subprocess.run([cc, "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
+                    "-fsanitize=undefined", "-fsanitize-undefined-trap-on-error",
                     "-I", sysconfig.get_paths()["include"], str(SOURCE), "-o", str(out)], check=True)
     spec = importlib.util.spec_from_file_location("_kernels", out)
     module = importlib.util.module_from_spec(spec)
@@ -272,6 +275,12 @@ def test_word_width_boundary_identical(compiled):
             assert _pykern.solve_dd_all(closed, 1) == compiled.solve_dd_all(closed, 1), n
     # v = 2: stages 1-21 all fail before dd(2) = 22; only the bounds keep that short
     assert _pykern.solve_dd(paths[63], 2, 1, 63) == compiled.solve_dd(paths[63], 2, 1, 63)
+    # n = 26, the largest order the walks of irredundant sets take
+    star = [(1 << 26) - 1] + [1 | 1 << i for i in range(1, 26)]
+    for closed in ([1 << i for i in range(26)], star):
+        gamma = _pykern.solve_dd(closed, -1, 0, 26)[0]
+        assert _pykern.scan_minimal_ds(closed) == compiled.scan_minimal_ds(closed)
+        assert _walks(_pykern, closed, gamma) == _walks(compiled, closed, gamma), closed is star
     with pytest.raises(ValueError):
         compiled.solve_dd([1 << i for i in range(65)], -1, 0, 65)
     with pytest.raises(ValueError):
