@@ -1,4 +1,6 @@
-"""Build the optional compiled kernels: ``python setup.py build_ext --inplace``.
+"""Build the optional compiled kernels:
+``python setup.py build_ext --inplace --force``. Without ``--force``, a tree
+copied together with its ``build/`` directory keeps the old extension.
 
 ``optional=True`` turns a failed compile into a warning: the pure-Python
 twin of the same kernels is selected at import time, so it costs speed,

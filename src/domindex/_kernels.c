@@ -514,7 +514,7 @@ scan_ir(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
             s.square[v] |= s.closed[CTZ(rest)];
         s.reach[v] = s.reach[v + 1] | s.square[v];
     }
-    if (s.lo > s.stop && (s.n <= s.lo - 1 || !pruned(s.square, s.n, 0, s.full, s.lo - 1))
+    if (s.lo > s.stop && !pruned(s.square, s.n, 0, s.full, s.lo - 1)
         && ir_walk(&s, 0, 0, 0, 0) < 0)
         return NULL;
     return PyLong_FromLong(s.lo);

@@ -399,6 +399,6 @@ def scan_ir(closed, gamma):
                 return
         lo = c
 
-    if lo > stop and (n <= lo - 1 or not _cut(square, 0, full, lo - 1)):
+    if lo > stop and not _cut(square, 0, full, lo - 1):
         rec(0, 0, 0, [])
     return lo

@@ -12,7 +12,7 @@ from domindex import (
     verify,
 )
 from domindex.errors import EnumerationCapExceeded, UnknownSuite
-from domindex.graph import is_connected
+from domindex.graph import delete_edge, is_connected
 from domindex.verify import (
     CheckReport,
     Limits,
@@ -79,8 +79,11 @@ def test_record_weight():
     rec.record("claim", "a", True, 1, 1, weight=6)
     rec.record("claim", "b", False, 1, 2, weight=4)
     rec.record("claim", "c", True, 1, 1)
-    assert (rec.instances, rec.passes) == (11, 7)
-    assert [(d.instance, d.expected, d.computed) for d in rec.discrepancies] == [("b", 1, 2)]
+    rec.record("other", "d", False, 1, 3, weight=2)
+    assert (rec.instances, rec.passes) == (13, 7)
+    assert rec.failures == Counter({"claim": 4, "other": 2})
+    assert [(d.instance, d.expected, d.computed) for d in rec.discrepancies] == [
+        ("b", 1, 2), ("d", 1, 3)]
 
 
 def test_unknown_suite():
@@ -91,7 +94,7 @@ def test_unknown_suite():
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_suites_smoke(suite):
     report = run_suite(suite, Limits(max_n=4))
-    assert report.instances == report.passes + len(report.discrepancies)
+    assert report.instances == report.passes + sum(report.failures.values())
     assert report.runtime_seconds >= 0
     # only contested claims may disagree on these small pools
     assert report.proved_failures == []
@@ -126,19 +129,32 @@ def test_monotonicity_verdicts_recorded():
     assert verdicts["edge-deletion-degree-monotone"]["first_counterexample"]
 
 
-def test_monotonicity_solves_each_labeled_graph_once(monkeypatch):
-    solved = []
-    solve = verify.dd_vector
-
-    def counted(g):
-        solved.append(g.open_adj)
-        return solve(g)
-
-    monkeypatch.setattr(verify, "dd_vector", counted)
-    run_suite("monotonicity", Limits(max_n=5))
-    # the connected graphs and their one-edge deletions: 1,025 labeled
-    # graphs, reached 5,066 times
-    assert len(solved) == len(set(solved)) == 1025
+def test_monotonicity_classes_match_labeled_walk():
+    # every connected labeled graph and each of its one-edge deletions,
+    # with no isomorphism classes on this side
+    instances = passes = 0
+    violations = Counter()
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            if not is_connected(g):
+                continue
+            base = verify.dd_vector(g)
+            for u, v in g.edges():
+                degs = verify.dd_vector(delete_edge(g, u, v))
+                checks = (
+                    ("edge-deletion-degree-monotone", all(a <= b for a, b in zip(base, degs))),
+                    ("edge-deletion-index-monotone", sum(base) <= sum(degs)),
+                )
+                for claim, ok in checks:
+                    instances += 1
+                    passes += ok
+                    violations[claim] += not ok
+    report = run_suite("monotonicity", Limits(max_n=5))
+    assert (report.instances, report.passes) == (instances, passes) == (8588, 8036)
+    verdicts = report.details["empirical_verdicts"]
+    assert {claim: v["violations"] for claim, v in verdicts.items()} == dict(violations)
+    assert dict(violations) == {"edge-deletion-degree-monotone": 402,
+                                "edge-deletion-index-monotone": 150}
 
 
 def test_report_serialization(tmp_path):
@@ -187,9 +203,9 @@ GOLDEN_SUITES = {
         "5833d1dea33855f40fc8cd84396773e18401dfd9a7be30997ca5100fe77a3b41",
     ),
     "monotonicity": (
-        "00d0e2f76680920fc3f46adddfc37db2d82e281b342211e8b0ee0cd2de4a4666",
-        "b6d355a26e57614d76c12c2c58616e2213e3f40f880bd73e33bf8fc38f0837cb",
-        "6bc8596c86da25ba939ce990f0f13dceddb7d14d27fd11cda4d91fc41f1a29e9",
+        "d755da1c0d478de71512a8992cfae3ac8cc4c44dddd3882a798545cb54f621fb",
+        "f25ff86e8be9a24b84c52385d99b5f212ffe21761ce4bde4938dabc46c443c59",
+        "d350f5503bb8ad4e699a9c9c7e26267745b9b08375997000bab3f4ef472e1e91",
     ),
     "products-ordering": (
         "7e96223da34e16c7e9f4daa073b07eab84fb5ea2d418c68e0d629a6c0c162834",
