@@ -44,7 +44,8 @@ from .graph import (
     wiener_index,
 )
 from .ops import corona, disjoint_union, join, product
-from .verify import Limits, enumerate_labeled_graphs, random_graph, run_suite
+from .classes import enumerate_labeled_graphs, random_graph
+from .verify import Limits, run_suite
 
 __version__ = "0.1.0"
 

@@ -11,24 +11,21 @@ returns a :class:`CheckReport`. Claims come in two classes:
 
 The ``definitional``, ``inequalities`` and ``monotonicity`` suites check
 isomorphism invariants only, so they visit one graph per isomorphism class
-up to a small order and count each check once per labeled graph in the
-class (its weight n!/|Aut(G)|); a failed check records one discrepancy for
-the class representative, and adds its weight to the claim's failure
-count. The per-graph work is a handful of degree searches and walks of
-irredundant sets.
+up to a small order (``classes._graph_classes``) and count each check once
+per labeled graph in the class (its weight n!/|Aut(G)|); a failed check
+records one discrepancy for the class representative, and adds its
+weight to the claim's failure count. The per-graph work is a handful of
+degree searches and walks of irredundant sets.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import permutations, product as cartesian
-from math import factorial
-from typing import Iterator
 
+from .classes import _graph_classes
 from .engine import (
     DEFAULT_EXACT_CAP,
     _irredundance_scan,
@@ -59,7 +56,6 @@ from .graph import (
     delete_edge,
     is_connected,
     max_degree,
-    new_graph,
     wiener_index,
 )
 from .ops import (
@@ -127,30 +123,6 @@ class Limits:
     max_n: int | None = None
 
 
-def random_graph(n: int, p: float, seed: int) -> Graph:
-    """Seeded Erdos-Renyi style graph; the same seed always yields the
-    same edge set."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability {p} outside [0,1]")
-    rng = random.Random(seed)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return new_graph(n, edges)
-
-
-_LABELED_CAP = 7  # 2^21 labeled graphs on 7 vertices
-
-
-def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
-    """All labeled graphs on n vertices (2^(n(n-1)/2) of them); n <= 7."""
-    if n > _LABELED_CAP:
-        raise EnumerationCapExceeded(
-            f"labeled enumeration capped at {_LABELED_CAP} vertices, got {n}"
-        )
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for mask in range(1 << len(pairs)):
-        yield new_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
-
-
 def describe(g: Graph) -> str:
     return f"n={g.n};edges=" + ",".join(f"{u}-{v}" for u, v in g.edges())
 
@@ -184,74 +156,6 @@ def run_suite(suite: str, limits: Limits | None = None) -> CheckReport:
     report = fn(*args)
     report.runtime_seconds = time.perf_counter() - t0
     return report
-
-
-_CLASS_CAP = 8  # the 12,346 classes on 8 vertices take about 30 s to generate
-
-
-def _canonical(adj: list[int]) -> tuple[int, int]:
-    """The largest upper-triangle adjacency code over the vertex orderings
-    that respect the refined colour cells, and |Aut|: the number of those
-    orderings that reach it.
-
-    Colours start from degrees and are refined by neighbour-colour
-    multisets until no cell splits. The cells and their order depend on
-    the graph alone, so isomorphic graphs get the same code.
-    """
-    n = len(adj)
-    nbrs = [tuple(bits_of(a)) for a in adj]
-    colour = [len(nb) for nb in nbrs]
-    cells = len(set(colour))
-    while True:
-        sig = [(colour[v], tuple(sorted(colour[u] for u in nbrs[v]))) for v in range(n)]
-        keys = sorted(set(sig))
-        if len(keys) == cells:
-            break
-        rank = {key: i for i, key in enumerate(keys)}
-        colour = [rank[key] for key in sig]
-        cells = len(keys)
-    groups = [[v for v in range(n) if colour[v] == c] for c in sorted(set(colour))]
-    best, aut = -1, 0
-    for parts in cartesian(*(permutations(g) for g in groups)):
-        order = [v for part in parts for v in part]
-        code = 0
-        for i, u in enumerate(order):
-            row = adj[u]
-            for w in order[i + 1:]:
-                code = code << 1 | row >> w & 1
-        if code > best:
-            best, aut = code, 1
-        elif code == best:
-            aut += 1
-    return best, aut
-
-
-def _graph_classes(top: int) -> Iterator[tuple[Graph, int]]:
-    """One graph per isomorphism class on 1..top vertices (top <= 8), with
-    its weight n!/|Aut(G)|: the number of labeled graphs in its class.
-
-    Layer n extends each class of layer n-1 by a new vertex in all
-    2^(n-1) ways and keeps the first graph seen per canonical code. That
-    covers every class, since deleting a vertex of a graph on n vertices
-    leaves one on n-1.
-    """
-    if top > _CLASS_CAP:
-        raise EnumerationCapExceeded(
-            f"isomorphism-class enumeration capped at {_CLASS_CAP} vertices, got {top}"
-        )
-    layer: list[list[int]] = [[]]
-    for n in range(1, top + 1):
-        seen: dict[int, tuple[list[int], int]] = {}
-        new = 1 << (n - 1)
-        for adj in layer:
-            for mask in range(new):
-                ext = [a | new if mask >> v & 1 else a for v, a in enumerate(adj)] + [mask]
-                code, aut = _canonical(ext)
-                seen.setdefault(code, (ext, aut))
-        layer = [ext for ext, _ in seen.values()]
-        for ext, aut in seen.values():
-            edges = [(u, w) for u in range(n) for w in bits_of(ext[u]) if u < w]
-            yield new_graph(n, edges), factorial(n) // aut
 
 
 def _suite_named_graphs() -> CheckReport:
@@ -530,8 +434,8 @@ def _suite_operations() -> CheckReport:
     return rec
 
 
-# The class walk at order 8 is unmeasured: generating its classes alone
-# takes about 30 s.
+# The class walk at order 8 is unmeasured; generating its classes alone
+# takes 6-8 s of process time in pure Python.
 _MONOTONICITY_CAP = 7
 
 

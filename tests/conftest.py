@@ -3,7 +3,7 @@ import pathlib
 import pytest
 
 from domindex import FamilySpec, generate, new_graph, parse_edgelist
-from domindex.verify import _graph_classes
+from domindex.classes import _graph_classes
 
 DATA = pathlib.Path(__file__).parent / "data"
 

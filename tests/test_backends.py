@@ -24,10 +24,10 @@ import pytest
 
 from domindex import FamilySpec, _pykern, backend, generate
 from domindex.backend import backend_name, kernels_for
+from domindex.classes import enumerate_labeled_graphs, random_graph
 from domindex.engine import _gamma_lower_bound, is_dominating, is_irredundant
 from domindex.graph import VertexSet, distances_from, new_graph
 from domindex.ops import disjoint_union, product
-from domindex.verify import enumerate_labeled_graphs, random_graph
 
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "domindex" / "_kernels.c"
 

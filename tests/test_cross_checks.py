@@ -19,8 +19,9 @@ from domindex import (
     upper_domination_number,
 )
 from domindex.backend import kernels_for
+from domindex.classes import enumerate_labeled_graphs
 from domindex.engine import is_irredundant
-from domindex.verify import Limits, enumerate_labeled_graphs, write_ledger
+from domindex.verify import Limits, write_ledger
 
 
 @given(st.integers(0, 150))

@@ -24,9 +24,9 @@ from domindex import (
 )
 from domindex import VertexSet, engine
 from domindex.backend import kernels_for
+from domindex.classes import _graph_classes, enumerate_labeled_graphs, random_graph
 from domindex.engine import _search
 from domindex.errors import ExactCapExceeded, NotDominating, VertexNotInSet, VertexOutOfRange
-from domindex.verify import _graph_classes, enumerate_labeled_graphs, random_graph
 
 
 def complete(n):

@@ -11,13 +11,13 @@ from domindex import (
     run_suite,
     verify,
 )
+from domindex.classes import _graph_classes
 from domindex.errors import EnumerationCapExceeded, UnknownSuite
 from domindex.graph import delete_edge, is_connected
 from domindex.verify import (
     CheckReport,
     Limits,
     SUITE_NAMES,
-    _graph_classes,
     report_to_json,
     report_to_text,
     write_ledger,
