@@ -8,7 +8,8 @@
    the minimal dominating sets (scan_minimal_ds), Γ and IR
    (scan_irredundance), and ir (scan_ir, from γ down, bounded by the
    domination of G²). The stage walk and scan_ir test each child before
-   they enter it, with one bound helper, pruned, on G and on G².
+   they enter it, with one bound helper, pruned, on G and on G²;
+   last_nodes() gives the number of sets the last of these walks entered.
    Restricted to graphs with at most 64 vertices, so every mask fits one
    machine word. Long searches and walks poll for signals, so Ctrl-C
    stops them.
@@ -27,6 +28,7 @@ typedef unsigned long long u64;
 
 #define POPCOUNT(x) __builtin_popcountll(x)
 #define CTZ(x) __builtin_ctzll(x)
+#define TOP(x) (63 - __builtin_clzll(x))  /* the highest set bit */
 
 /* The state of one kernel call, whichever walk it runs. reach[x] is what
    closed[x..n) dominate together (for scan_ir, square[x..n)). priv[d]
@@ -51,6 +53,8 @@ typedef struct {
     u64 *sets;
     size_t count, room;
 } State;
+
+static u64 entered;  /* last_nodes(): s->nodes of the last stage walk or scan_ir that returned */
 
 /* Reads the sequence `closed` of int masks into s->closed and sets up
    the rest of the state. 0, or -1 with an exception set when n is
@@ -95,29 +99,30 @@ poll(State *s)
     return (++s->nodes & POLL) == 0 ? PyErr_CheckSignals() : 0;
 }
 
-/* Whether the bounds cut a set that leaves `unc` uncovered, in the graph
-   whose closed neighbourhoods are closed[0..n), and may add `slots` more
-   vertices, all from id `start` up: the exact completion test for at
-   most two slots, else the packing and budget bounds. The caller has
-   checked that such a vertex dominates each vertex of unc, and that unc
-   has more vertices than `slots`: with no more, at most `slots` such
-   vertices cover it. */
+/* _pykern._cut, under the same preconditions: whether the bounds cut a
+   set that leaves `unc` uncovered in the graph with closed neighbourhoods
+   closed[], and may add `slots` more vertices from id `start` up. Exact
+   for at most two slots: a later dominator d of the lowest vertex of unc
+   covers it, or with two slots, d and a later vertex that covers what d
+   leaves; only a vertex that dominates both the lowest and the highest
+   vertex of a mask covers it, so only those are tried for the last slot.
+   Else the packing bound. */
 static inline __attribute__((always_inline)) int
-pruned(const u64 *closed, int n, int start, u64 unc, int slots)
+pruned(const u64 *closed, int start, u64 unc, int slots)
 {
-    u64 later = ~0ULL << start;  /* ids start and up; start < n <= 64 */
+    u64 later = ~0ULL << start;  /* ids start and up; start < 64, as one of them dominates unc */
     if (slots <= 2) {
-        /* exact: a later dominator d of the lowest uncovered vertex
-           covers unc, or with two slots, d and a later dominator of the
-           lowest vertex that d leaves uncovered do */
         if (slots < 1)
             return 1;
-        for (u64 d = closed[CTZ(unc)] & later; d != 0; d &= d - 1) {
+        u64 d = closed[CTZ(unc)] & later;
+        if (slots == 1)
+            d &= closed[TOP(unc)];
+        for (; d != 0; d &= d - 1) {
             u64 rest = unc & ~closed[CTZ(d)];
             if (rest == 0)
                 return 0;
             if (slots == 2)
-                for (u64 e = closed[CTZ(rest)] & later; e != 0; e &= e - 1)
+                for (u64 e = closed[CTZ(rest)] & closed[TOP(rest)] & later; e != 0; e &= e - 1)
                     if ((rest & ~closed[CTZ(e)]) == 0)
                         return 0;
         }
@@ -132,23 +137,7 @@ pruned(const u64 *closed, int n, int start, u64 unc, int slots)
         for (u64 doms = closed[CTZ(rest)] & later; doms != 0; doms &= doms - 1)
             rest &= ~closed[CTZ(doms)];
     }
-    /* budget bound over later candidates: the best `slots` gains must
-       reach the uncovered count */
-    int hist[MAXN + 1], top = 0, need = POPCOUNT(unc);
-    for (int c = 0; c <= n; c++)  /* a gain is at most |unc| <= n */
-        hist[c] = 0;
-    for (int x = start; x < n; x++) {
-        int c = POPCOUNT(closed[x] & unc);
-        hist[c]++;
-        if (c > top)
-            top = c;
-    }
-    for (int c = top; c > 0 && need > 0 && slots > 0; c--) {
-        int take = hist[c] < slots ? hist[c] : slots;
-        need -= take * c;
-        slots -= take;
-    }
-    return need > 0;
+    return 0;
 }
 
 /* Whether adding a vertex with closed neighbourhood cx to the set of
@@ -214,7 +203,7 @@ walk(State *s, int depth, int start, u64 unc, u64 mask)
             continue;  /* x would take a member's last private vertex */
         if (rest == 0)
             serve(s, depth + 1, mask | 1ULL << x);
-        else if (POPCOUNT(rest) <= slots || !pruned(s->closed, s->n, x + 1, rest, slots)) {
+        else if (POPCOUNT(rest) <= slots || !pruned(s->closed, x + 1, rest, slots)) {
             keep(s, depth, x, unc);
             if (walk(s, depth + 1, x + 1, rest, mask | 1ULL << x) < 0)
                 return -1;
@@ -247,7 +236,7 @@ stages(State *s, int v, u64 wild, int k_lo, int k_hi)
         int slots = s->k - depth;
         if (unc == 0)
             serve(s, depth, mask);  /* v dominates every vertex */
-        else if ((POPCOUNT(unc) <= slots || !pruned(s->closed, s->n, 0, unc, slots))
+        else if ((POPCOUNT(unc) <= slots || !pruned(s->closed, 0, unc, slots))
                  && walk(s, depth, 0, unc, mask) < 0)
             return -1;
         if (s->k >= s->n)
@@ -292,12 +281,12 @@ solve_dd(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
         PyErr_Format(PyExc_TypeError, "solve_dd expected 4 arguments, got %zd", nargs);
         return NULL;
     }
-    if (as_int(args[1], &v) < 0 || as_int(args[2], &k_lo) < 0 || as_int(args[3], &k_hi) < 0)
-        return NULL;
     /* for v < 0, the first set reached serves every vertex */
-    if (init(&s, args[0], MAXN, "compiled kernel") < 0
+    if (as_int(args[1], &v) < 0 || as_int(args[2], &k_lo) < 0 || as_int(args[3], &k_hi) < 0
+        || init(&s, args[0], MAXN, "compiled kernel") < 0
         || stages(&s, v, v < 0 ? ~0ULL : 0, k_lo, k_hi) < 0)
         return NULL;
+    entered = s.nodes;
     return served(&s, v < 0 ? 0 : v);
 }
 
@@ -315,6 +304,7 @@ solve_dd_all(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     if (as_int(args[1], &k_lo) < 0 || init(&s, args[0], MAXN, "compiled kernel") < 0
         || stages(&s, -1, 0, k_lo, s.n) < 0)
         return NULL;
+    entered = s.nodes;
     PyObject *out = PyList_New(s.n);
     for (int u = 0; out != NULL && u < s.n; u++) {
         PyObject *hit = served(&s, u);
@@ -470,7 +460,7 @@ ir_walk(State *s, int depth, int start, u64 cover, u64 far)
             u64 rest = s->full & ~(far | s->square[x]);
             if (rest != 0 && (slots == 0 || (rest & ~s->reach[x + 1]) != 0
                               || (POPCOUNT(rest) > slots
-                                  && pruned(s->square, s->n, x + 1, rest, slots))))
+                                  && pruned(s->square, x + 1, rest, slots))))
                 continue;
             keep(s, depth, x, unc);
             if (ir_walk(s, depth + 1, x + 1, cover | cx, far | s->square[x]) < 0)
@@ -514,10 +504,17 @@ scan_ir(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
             s.square[v] |= s.closed[CTZ(rest)];
         s.reach[v] = s.reach[v + 1] | s.square[v];
     }
-    if (s.lo > s.stop && !pruned(s.square, s.n, 0, s.full, s.lo - 1)
+    if (s.lo > s.stop && !pruned(s.square, 0, s.full, s.lo - 1)
         && ir_walk(&s, 0, 0, 0, 0) < 0)
         return NULL;
+    entered = s.nodes;
     return PyLong_FromLong(s.lo);
+}
+
+static PyObject *
+last_nodes(PyObject *Py_UNUSED(self), PyObject *Py_UNUSED(args))
+{
+    return PyLong_FromUnsignedLongLong(entered);
 }
 
 static PyMethodDef methods[] = {
@@ -525,6 +522,8 @@ static PyMethodDef methods[] = {
      "solve_dd(closed, v, k_lo, k_hi) -> (size, mask) or None"},
     {"solve_dd_all", (PyCFunction)(void (*)(void))solve_dd_all, METH_FASTCALL,
      "solve_dd_all(closed, k_lo) -> [(size, mask) or None for each vertex]"},
+    {"last_nodes", last_nodes, METH_NOARGS,
+     "last_nodes() -> sets entered by the last solve_dd, solve_dd_all or scan_ir walk"},
     {"scan_minimal_ds", scan_minimal_ds, METH_O,
      "scan_minimal_ds(closed) -> minimal dominating sets sorted by (size, mask)"},
     {"scan_irredundance", scan_irredundance, METH_O,

@@ -34,21 +34,19 @@ partial set that stops being irredundant. A branch may add only
 candidates above the last one it added, and its bounds on the vertices
 it must still add count only those later candidates. With a budget of k
 minus the set's size, a branch is pruned when
-  - exact, for a budget of at most two: no later dominator d of the
-    lowest uncovered vertex covers every uncovered vertex, nor, for a
-    budget of two, does d together with a later dominator of the lowest
-    vertex that d leaves uncovered. Every set of at most two later
-    vertices that covers the uncovered vertices is found this way, so
-    the test prunes exactly the branches that no such set completes; a
-    budget below one prunes at once;
+  - exact, for a budget of at most two: with a budget of one, no later
+    vertex that dominates both the lowest and the highest uncovered
+    vertex covers them all; with two, for no later dominator d of the
+    lowest uncovered vertex do d, or d and a later vertex that dominates
+    both the lowest and the highest vertex d leaves uncovered, cover them
+    all. A vertex that covers a mask dominates its lowest and its highest
+    vertex, so the test prunes exactly the branches that no set of at
+    most two later vertices completes; a budget below one prunes at once;
   - packing, for a larger budget: walking the uncovered vertices lowest
     first and taking each one that shares no later dominator with one
     already taken (the 2-packing bound ρ ≤ γ) takes more vertices than
     the budget, as each needs a dominator of its own; a vertex with no
-    later dominator prunes at once;
-  - budget, for a larger budget: the largest gains (uncovered vertices
-    dominated) of as many later candidates as the budget add up to less
-    than the uncovered count.
+    later dominator prunes at once.
 When no more vertices are uncovered than the budget, each can take a
 later dominator of its own, so only the test for a vertex with no later
 dominator runs. No bound prunes a branch that reaches a dominating
@@ -59,6 +57,11 @@ whose sets can serve an open vertex, and stops once no vertex is open.
 Sets arrive in lexicographic order of their sorted ids, and candidate
 order is fixed, so the bounds change the walk's cost, not its records:
 each is the first set of the first stage that serves the vertex.
+
+last_nodes()
+    The sets that the walk of the last solve_dd, solve_dd_all or scan_ir
+    call that returned entered, roots included (see below); both twins
+    count the same.
 
 scan_minimal_ds(closed)
     Every minimal dominating set, found by a walk of irredundant sets,
@@ -127,6 +130,7 @@ from __future__ import annotations
 
 BACKEND_NAME = "python"
 MAX_SCAN = 26  # as in the compiled twin: a walk of irredundant sets is exponential in n
+_nodes = 0  # last_nodes()
 
 
 def solve_dd(closed, v, k_lo, k_hi):
@@ -139,22 +143,28 @@ def solve_dd_all(closed, k_lo):
     return _walk(closed, -1, 0, k_lo, len(closed))
 
 
+def last_nodes():
+    return _nodes
+
+
 def _cut(closed, start, unc, slots):
     """Whether the bounds cut a set that leaves ``unc`` uncovered, in the
     graph whose closed neighbourhoods are ``closed``, and may add ``slots``
-    more vertices, all from id ``start`` up: the exact
-    completion test for at most two slots, else the packing and budget
-    bounds. The caller has checked that such a vertex dominates each
-    vertex of ``unc``, and that ``unc`` has more vertices than ``slots``:
-    with no more, at most ``slots`` such vertices cover it."""
+    more vertices, all from id ``start`` up. For at most two slots, the
+    exact completion test: some later dominator d of the lowest vertex of
+    unc covers it, or with two slots, d and a later vertex that covers
+    what d leaves. Only ``closed[lowest] & closed[highest] & later`` of
+    a mask can cover it, so the last slot tries only those. Else the
+    packing bound. The caller has checked that such a vertex dominates
+    each vertex of ``unc``, and that ``unc`` has more vertices than
+    ``slots``: with no more, at most ``slots`` such vertices cover it."""
     later = -1 << start  # ids start and up
     if slots <= 2:
-        # exact: a later dominator d of the lowest uncovered vertex covers
-        # unc, or with two slots, d and a later dominator of the lowest
-        # vertex that d leaves uncovered do
         if slots < 1:
             return True
         doms = closed[(unc & -unc).bit_length() - 1] & later
+        if slots == 1:
+            doms &= closed[unc.bit_length() - 1]
         while doms:
             low = doms & -doms
             doms ^= low
@@ -162,7 +172,7 @@ def _cut(closed, start, unc, slots):
             if not rest:
                 return False
             if slots == 2:
-                seconds = closed[(rest & -rest).bit_length() - 1] & later
+                seconds = closed[(rest & -rest).bit_length() - 1] & closed[rest.bit_length() - 1] & later
                 while seconds:
                     low = seconds & -seconds
                     if not rest & ~closed[low.bit_length() - 1]:
@@ -182,10 +192,7 @@ def _cut(closed, start, unc, slots):
             low = doms & -doms
             rest &= ~closed[low.bit_length() - 1]
             doms ^= low
-    # budget bound over later candidates: the best `slots` gains must
-    # reach the uncovered count
-    caps = sorted([(c & unc).bit_count() for c in closed[start:]], reverse=True)
-    return sum(caps[:slots]) < unc.bit_count()
+    return False
 
 
 def _walk(closed, v, wild, k_lo, k_hi):
@@ -194,6 +201,7 @@ def _walk(closed, v, wild, k_lo, k_hi):
     dominating set serves its open members and the open vertices in
     ``wild``. Returns found[u], the (size, member_mask) that served u, or
     None."""
+    global _nodes
     n = len(closed)
     if n < 1:
         raise ValueError("python kernel handles 1 or more vertices, got 0")
@@ -204,6 +212,7 @@ def _walk(closed, v, wild, k_lo, k_hi):
         unc, mask, privs, todo = full & ~closed[v], 1 << v, [closed[v]], 1 << v
     reach = _reach(closed, n)
     found = [None] * n
+    nodes = 0
 
     def serve(size, mask):
         nonlocal todo
@@ -219,6 +228,8 @@ def _walk(closed, v, wild, k_lo, k_hi):
     # rec extends a set that passed the bounds, and tests each child
     # before it builds the child's list or descends.
     def rec(start, uncovered, mask, privs):
+        nonlocal nodes
+        nodes += 1
         slots = k - len(privs) - 1  # left to a child
         held = (mask | wild) & todo  # open vertices that every set below serves
         for x in range(start, n):
@@ -250,6 +261,7 @@ def _walk(closed, v, wild, k_lo, k_hi):
             rec(0, unc, mask, privs)
         if not todo or k >= n:
             break
+    _nodes = nodes
     return found
 
 
@@ -344,6 +356,7 @@ def scan_irredundance(closed):
 
 
 def scan_ir(closed, gamma):
+    global _nodes
     n = _scan_order(closed)
     if not 1 <= gamma <= n:
         raise ValueError(f"gamma must lie in 1..{n}, got {gamma}")
@@ -359,10 +372,12 @@ def scan_ir(closed, gamma):
     reach = _reach(square, n)
     stop = (gamma + 2) // 2  # ir ≥ ⌈(γ+1)/2⌉, as γ ≤ 2ir − 1
     lo = gamma
+    nodes = 0
 
     # cover and far: what the set dominates in G and in G²
     def rec(start, cover, far, privs):
-        nonlocal lo
+        nonlocal lo, nodes
+        nodes += 1
         c = len(privs)
         unc = full & ~cover
         slots = lo - 2 - c  # left to a child, which stays below lo
@@ -401,4 +416,5 @@ def scan_ir(closed, gamma):
 
     if lo > stop and not _cut(square, 0, full, lo - 1):
         rec(0, 0, 0, [])
+    _nodes = nodes
     return lo

@@ -95,6 +95,28 @@ def test_solve_dd_identical_results_and_witnesses(compiled):
             assert a == b == compiled.solve_dd(g.closed_adj, v, lo, g.n), (g.edges(), v)
 
 
+def test_twins_enter_the_same_sets(compiled):
+    # A twin whose bounds prune more or fewer branches returns the same
+    # values and witnesses, so only the count of sets its walks enter shows
+    # it. The squares feed the stage walk dense graphs, as scan_ir does.
+    graphs = corpus() + disconnected()
+    total = 0
+    for closed in [list(g.closed_adj) for g in graphs] + [square(g) for g in graphs[::3]]:
+        n = len(closed)
+        calls = [("solve_dd", (closed, v, 0, n)) for v in [-1] + list(range(n))]
+        calls.append(("solve_dd_all", (closed, 0)))
+        if n <= SCAN_MAX:
+            calls.append(("scan_ir", (closed, _pykern.solve_dd(closed, -1, 0, n)[0])))
+        for name, args in calls:
+            counts = []
+            for kern in (_pykern, compiled):
+                getattr(kern, name)(*args)
+                counts.append(kern.last_nodes())
+            assert counts[0] == counts[1], (name, args[1:], counts)
+            total += counts[0]
+    assert total > 10**4
+
+
 def _per_vertex(kern, closed):
     gamma = kern.solve_dd(closed, -1, 0, len(closed))[0]
     return [kern.solve_dd(closed, v, gamma, len(closed)) for v in range(len(closed))]
@@ -171,6 +193,30 @@ def test_cut_against_brute_force():
                             assert cut != covered, (closed, start, unc, slots)
                         else:
                             assert not (cut and covered), (closed, start, unc, slots)
+    # Orders 16-24, one and two slots: the exact test tries only vertices
+    # that dominate the lowest and the highest vertex to cover, which lie
+    # far apart here. Each unc lies in the cover of two later vertices, and
+    # half of them gain one more vertex, so both outcomes occur.
+    seen = set()
+    for i, n in enumerate((16, 18, 20, 22, 24)):
+        g = random_graph(n, (0.1, 0.2)[i % 2], seed=2020 + n)
+        for closed in (list(g.closed_adj), square(g)):
+            for start in range(0, n, 3):
+                later = closed[start:]
+                reach = reduce(or_, later)
+                unions = {s: [reduce(or_, c) for c in combinations(later, min(s, len(later)))]
+                          for s in (1, 2)}
+                for _ in range(12):
+                    unc = (rng.choice(later) | rng.choice(later)) & (rng.getrandbits(n) | rng.getrandbits(n))
+                    if rng.getrandbits(1):
+                        unc |= 1 << rng.choice([u for u in range(n) if reach >> u & 1])
+                    for slots in (1, 2):
+                        if unc.bit_count() <= slots:
+                            continue
+                        covered = any(not unc & ~u for u in unions[slots])
+                        assert _pykern._cut(closed, start, unc, slots) != covered, (closed, start, unc, slots)
+                        seen.add((slots, covered))
+    assert seen == {(1, False), (1, True), (2, False), (2, True)}
 
 
 def test_scans_identical(compiled):
