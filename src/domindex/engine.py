@@ -27,9 +27,16 @@ degrees over all vertices.
 
 Every kernel call passes one private entry: ``_kernels`` guards the
 input and picks the twin (``_walk`` adds the limit of the walks of
-irredundant sets), and ``_search``, ``_search_all`` and
-``_irredundance`` make the calls of the searches and of the ir, Γ and IR
-walks. Only :func:`mds_containing_greedy` passes no cap.
+irredundant sets), ``_search`` and ``_search_all`` make the calls of the
+searches, ``_upper`` the Γ/IR walk, and ``_irredundance`` that walk and
+the ir walk. The Γ/IR walk returns values only, so ``_upper`` runs the
+pure-Python twin's walk of a larger graph on ``Graph.search_closed_adj``,
+the closed masks relabelled by descending degree, where it costs less;
+no value depends on the labelling. Every other call runs on
+``closed_adj`` in id order: witnesses are the lexicographically least
+sets in id order, and the γ search and the ir walk gain less from the
+search order than its set-up costs.
+Only :func:`mds_containing_greedy` passes no cap.
 
 Everything here is a pure function of immutable inputs, so concurrent
 calls (including per-vertex degree computations of one graph) are safe.
@@ -41,6 +48,7 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Iterator
 
+from . import _pykern
 from ._pykern import MAX_SCAN
 from .backend import kernels_for
 from .errors import (
@@ -147,10 +155,29 @@ def _walk(g: Graph, cap: int, what: str):
     return _kernels(g, min(cap, MAX_SCAN), what)
 
 
+# The order from which the pure-Python Γ/IR walk runs in the search
+# order. Below it the relabel, 1-2 µs of Python per vertex, costs more
+# than the walk saves. The compiled walk always runs in id order: it
+# saves less than the relabel costs below 22 vertices, which no workload
+# reaches (timings in BENCH_26.json).
+_SEARCH_ORDER_FROM = 12
+
+
+def _upper(kern, g: Graph) -> tuple[int, int]:
+    """(Γ, IR) from one walk of irredundant sets. It returns values only,
+    so the pure-Python walk of a graph of order ``_SEARCH_ORDER_FROM`` or
+    more runs on ``g.search_closed_adj``, high-degree vertices first."""
+    if kern is _pykern and g.n >= _SEARCH_ORDER_FROM:
+        return kern.scan_irredundance(g.search_closed_adj)
+    return kern.scan_irredundance(g.closed_adj)
+
+
 def _irredundance(kern, g: Graph, gamma: int) -> tuple[int, int, int]:
-    """(ir, Γ, IR): Γ and IR from one walk of irredundant sets, and ir from
-    a walk of its own that starts at ``gamma``, which must be γ."""
-    upper, upper_ir = kern.scan_irredundance(g.closed_adj)
+    """(ir, Γ, IR): Γ and IR from ``_upper``, and ir from a walk of its own
+    over ``closed_adj`` in id order that starts at ``gamma``, which must be
+    γ. Only ``_upper`` uses the search order; the ir walk gains nothing
+    from it, and the witness searches must run in id order."""
+    upper, upper_ir = _upper(kern, g)
     return kern.scan_ir(g.closed_adj, gamma), upper, upper_ir
 
 
@@ -166,7 +193,7 @@ def _irredundance_scan(g: Graph, gamma: int) -> tuple[int, int, int]:
 
 def upper_domination_number(g: Graph) -> int:
     """Maximum cardinality of a minimal dominating set."""
-    return _walk(g, DEFAULT_EXACT_CAP, "irredundance scan").scan_irredundance(g.closed_adj)[0]
+    return _upper(_walk(g, DEFAULT_EXACT_CAP, "irredundance scan"), g)[0]
 
 
 def irredundance_numbers(g: Graph) -> tuple[int, int]:
@@ -270,9 +297,24 @@ def _check_profile(g: Graph, p: DominationProfile) -> None:
         raise InternalInvariantViolation("index outside [n*gamma, n*upper gamma]")
     if not p.ir <= p.gamma <= p.upper_gamma <= p.upper_ir:
         raise InternalInvariantViolation("irredundance chain violated")
+    # One pass per distinct witness: the vertices its members cover once
+    # and twice. It dominates iff ``once`` is every vertex, and a member
+    # keeps a private neighbor iff its closed neighborhood leaves ``twice``.
+    closed = g.closed_adj
+    minimal = set()
     for v, w in enumerate(p.witnesses):
-        if v not in w or not is_minimal_dominating(g, w):
+        if v not in w or len(w) != p.degrees[v]:
             raise InternalInvariantViolation(f"bad witness for vertex {v}")
+        if w.bits in minimal:
+            continue
+        members = w.members()
+        once = twice = 0
+        for a in members:
+            twice |= once & closed[a]
+            once |= closed[a]
+        if once != g.full_mask or not all(closed[a] & ~twice for a in members):
+            raise InternalInvariantViolation(f"bad witness for vertex {v}")
+        minimal.add(w.bits)
 
 
 def enumerate_minimal_dominating_sets(g: Graph) -> Iterator[VertexSet]:

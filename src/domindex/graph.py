@@ -75,6 +75,31 @@ class Graph:
         return tuple(self.open_adj[v] | (1 << v) for v in range(self.n))
 
     @cached_property
+    def search_closed_adj(self) -> tuple[int, ...]:
+        """``closed_adj`` relabelled into the search order, computed once
+        per graph: vertices by descending degree, ties by ascending id.
+        Entry i is the closed neighborhood of the i-th vertex of that
+        order, as a mask over positions in it. The pure-Python walk for
+        Γ and IR, which returns values only, runs on it on larger graphs,
+        since it costs less with high-degree vertices first; witnesses
+        are searched in id order."""
+        deg = [-a.bit_count() for a in self.open_adj]
+        order = sorted(range(self.n), key=deg.__getitem__)
+        bit = [0] * self.n
+        for i, v in enumerate(order):
+            bit[v] = 1 << i
+        out = []
+        for v in order:
+            # bits_of inlined: a generator per mask costs about twice as much
+            c, m = self.closed_adj[v], 0
+            while c:
+                low = c & -c
+                m |= bit[low.bit_length() - 1]
+                c ^= low
+            out.append(m)
+        return tuple(out)
+
+    @cached_property
     def max_degree(self) -> int:
         """Δ, computed once per graph; 0 for a graph with no vertices."""
         return max((a.bit_count() for a in self.open_adj), default=0)

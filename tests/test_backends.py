@@ -25,7 +25,7 @@ import pytest
 from domindex import FamilySpec, _pykern, backend, generate
 from domindex.backend import backend_name, kernels_for
 from domindex.classes import enumerate_labeled_graphs, random_graph
-from domindex.engine import _gamma_lower_bound, is_dominating, is_irredundant
+from domindex.engine import _gamma_lower_bound, _irredundance, _upper, is_dominating, is_irredundant
 from domindex.graph import VertexSet, distances_from, new_graph
 from domindex.ops import disjoint_union, product
 
@@ -115,6 +115,30 @@ def test_twins_enter_the_same_sets(compiled):
             assert counts[0] == counts[1], (name, args[1:], counts)
             total += counts[0]
     assert total > 10**4
+
+
+@pytest.mark.parametrize("twin", ["python", "compiled"])
+def test_search_order_changes_no_value(twin, request, graph_classes_7):
+    # γ, Γ, IR and ir are the same in the search order as in id order, and
+    # so is what the engine's walks return, whichever order they take
+    kern = _pykern if twin == "python" else request.getfixturevalue("compiled")
+    graphs = [g for g, _ in graph_classes_7]
+    graphs += [random_graph(8 + i % 11, 0.1 + 0.05 * (i % 7), seed=2600 + i) for i in range(100)]
+    for g in graphs:
+        gamma = kern.solve_dd(g.closed_adj, -1, 0, g.n)[0]
+        walks = _walks(kern, g.closed_adj, gamma)
+        assert kern.solve_dd(g.search_closed_adj, -1, 0, g.n)[0] == gamma, g.edges()
+        assert _walks(kern, g.search_closed_adj, gamma) == walks, g.edges()
+        assert _irredundance(kern, g, gamma) == walks, g.edges()
+
+
+def test_search_order_only_from_order_12_in_pure_python():
+    # below order 12 the relabel costs the pure-Python Γ/IR walk more than it saves
+    small, large = random_graph(11, 0.3, seed=1), random_graph(12, 0.3, seed=1)
+    assert _upper(_pykern, small) == _pykern.scan_irredundance(small.closed_adj)
+    assert _upper(_pykern, large) == _pykern.scan_irredundance(large.closed_adj)
+    assert "search_closed_adj" not in vars(small)
+    assert "search_closed_adj" in vars(large)
 
 
 def _per_vertex(kern, closed):

@@ -25,8 +25,14 @@ from domindex import (
 from domindex import VertexSet, engine
 from domindex.backend import kernels_for
 from domindex.classes import _graph_classes, enumerate_labeled_graphs, random_graph
-from domindex.engine import _search
-from domindex.errors import ExactCapExceeded, NotDominating, VertexNotInSet, VertexOutOfRange
+from domindex.engine import DominationProfile, _check_profile, _search
+from domindex.errors import (
+    ExactCapExceeded,
+    InternalInvariantViolation,
+    NotDominating,
+    VertexNotInSet,
+    VertexOutOfRange,
+)
 
 
 def complete(n):
@@ -194,6 +200,31 @@ def test_profile_k1():
     assert prof.degrees == (1,)
     assert (prof.gamma, prof.upper_gamma, prof.ir, prof.upper_ir) == (1, 1, 1, 1)
     assert prof.index == 1
+
+
+def test_profile_self_check_rejects_bad_witnesses():
+    # P3 = 0-1-2 has degrees (2, 1, 2) with witnesses {0,2}, {1}, {0,2};
+    # each case swaps one witness for a bad one and keeps every value
+    g = path(3)
+
+    def profile(*witnesses, degrees=(2, 1, 2)):
+        return DominationProfile(
+            degrees=degrees, witnesses=tuple(g.vertex_set(w) for w in witnesses),
+            gamma=1, upper_gamma=2, ir=1, upper_ir=2, min_dd=1, max_dd=2, index=5, is_drg=False,
+        )
+
+    good = profile((0, 2), (1,), (0, 2))
+    assert domination_profile(g) == good
+    _check_profile(g, good)
+    cases = [
+        (0, profile((1,), (1,), (0, 2))),        # minimal dominating, without its vertex
+        (0, profile((0, 1), (1,), (0, 2))),      # dominates, but 0 keeps no private neighbor
+        (2, profile((0, 2), (1,), (2,))),         # misses vertex 0
+        (0, profile((0, 2), (1,), (0, 2), degrees=(1, 1, 2))),  # larger than its degree
+    ]
+    for v, bad in cases:
+        with pytest.raises(InternalInvariantViolation, match=f"bad witness for vertex {v}"):
+            _check_profile(g, bad)
 
 
 def test_profile_min_dd_equals_gamma(f9_by_label):

@@ -113,6 +113,16 @@ def test_max_degree_computed_once_per_graph():
         max_degree(new_graph(0, []))
 
 
+def test_search_order_is_descending_degree_then_id():
+    # degrees 2, 1, 4, 1, 1, 1: vertex 2 first, then 0, then the leaves by id
+    g = new_graph(6, [(0, 2), (1, 2), (2, 3), (2, 4), (0, 5)])
+    order = [2, 0, 1, 3, 4, 5]
+    assert "search_closed_adj" not in vars(g)
+    assert g.search_closed_adj == permute(g, [order.index(v) for v in range(6)]).closed_adj
+    assert vars(g)["search_closed_adj"] is g.search_closed_adj
+    assert new_graph(0, []).search_closed_adj == ()
+
+
 def test_connectivity():
     two_k2 = new_graph(4, [(0, 1), (2, 3)])
     assert not is_connected(two_k2)
