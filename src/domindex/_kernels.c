@@ -37,7 +37,7 @@ typedef unsigned long long u64;
    backtracking restores nothing. nodes counts the entries to a walk.
      - The stage walk: stage k; todo, the open vertices; wild, the open
        vertices that every dominating set serves, member or not. A
-       dominating set that serves u sets size[u] and found[u].
+       dominating set that serves u sets found[u].
      - scan_minimal_ds: the sets found so far, sets[0..count).
      - scan_irredundance: Γ and IR so far.
      - scan_ir: lo, the size of the smallest maximal irredundant set found
@@ -47,7 +47,6 @@ typedef struct {
     int n, k, lo, stop, upper_gamma, upper_ir;
     u64 full, nodes, todo, wild;
     u64 closed[MAXN], reach[MAXN + 1], square[MAXN];
-    int size[MAXN];
     u64 found[MAXN];
     u64 priv[MAXN + 1][MAXN];
     u64 *sets;
@@ -166,17 +165,15 @@ keep(State *s, int depth, int x, u64 unc)
     kept[depth] = cx & unc;
 }
 
-/* Records the dominating set `mask` of `size` vertices for the open
-   vertices it serves, and closes them. */
+/* Records the dominating set `mask` for the open vertices it serves,
+   and closes them. */
 static void
-serve(State *s, int size, u64 mask)
+serve(State *s, u64 mask)
 {
     u64 hits = (mask | s->wild) & s->todo;
     s->todo &= ~hits;
-    for (; hits != 0; hits &= hits - 1) {
-        s->size[CTZ(hits)] = size;
+    for (; hits != 0; hits &= hits - 1)
         s->found[CTZ(hits)] = mask;
-    }
 }
 
 /* One stage of the walk below the set `mask` of `depth` chosen vertices,
@@ -202,7 +199,7 @@ walk(State *s, int depth, int start, u64 unc, u64 mask)
         if (!extends(s->priv[depth], depth, cx, unc))
             continue;  /* x would take a member's last private vertex */
         if (rest == 0)
-            serve(s, depth + 1, mask | 1ULL << x);
+            serve(s, mask | 1ULL << x);
         else if (POPCOUNT(rest) <= slots || !pruned(s->closed, x + 1, rest, slots)) {
             keep(s, depth, x, unc);
             if (walk(s, depth + 1, x + 1, rest, mask | 1ULL << x) < 0)
@@ -235,7 +232,7 @@ stages(State *s, int v, u64 wild, int k_lo, int k_hi)
     for (s->k = k_lo < 1 ? 1 : k_lo; s->k <= k_hi && s->todo != 0; s->k++) {
         int slots = s->k - depth;
         if (unc == 0)
-            serve(s, depth, mask);  /* v dominates every vertex */
+            serve(s, mask);  /* v dominates every vertex */
         else if ((POPCOUNT(unc) <= slots || !pruned(s->closed, 0, unc, slots))
                  && walk(s, depth, 0, unc, mask) < 0)
             return -1;
@@ -245,13 +242,13 @@ stages(State *s, int v, u64 wild, int k_lo, int k_hi)
     return 0;
 }
 
-/* (size[u], found[u]), or None when no set served u. */
+/* (size, member_mask) of the set that served u, or None when none did. */
 static PyObject *
 served(const State *s, int u)
 {
     if (s->todo >> u & 1)
         Py_RETURN_NONE;
-    return Py_BuildValue("(iK)", s->size[u], s->found[u]);
+    return Py_BuildValue("(iK)", POPCOUNT(s->found[u]), s->found[u]);
 }
 
 /* *out = o as a C int, or -1 with an exception set. */

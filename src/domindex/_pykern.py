@@ -214,13 +214,14 @@ def _walk(closed, v, wild, k_lo, k_hi):
     found = [None] * n
     nodes = 0
 
-    def serve(size, mask):
+    def serve(mask):
         nonlocal todo
         hits = (mask | wild) & todo
         todo ^= hits
+        record = mask.bit_count(), mask
         while hits:
             low = hits & -hits
-            found[low.bit_length() - 1] = size, mask
+            found[low.bit_length() - 1] = record
             hits ^= low
 
     # privs: the private territory of each chosen vertex, in the order
@@ -246,7 +247,7 @@ def _walk(closed, v, wild, k_lo, k_hi):
             if 0 in kept:
                 continue  # x would take a member's last private vertex
             if not unc:
-                serve(len(kept) + 1, mask | 1 << x)
+                serve(mask | 1 << x)
             elif unc.bit_count() <= slots or not _cut(closed, x + 1, unc, slots):
                 kept.append(gain)
                 rec(x + 1, unc, mask | 1 << x, kept)
@@ -256,7 +257,7 @@ def _walk(closed, v, wild, k_lo, k_hi):
 
     for k in range(max(k_lo, 1), k_hi + 1):
         if not unc:
-            serve(len(privs), mask)  # v dominates every vertex
+            serve(mask)  # v dominates every vertex
         elif unc.bit_count() <= k - len(privs) or not _cut(closed, 0, unc, k - len(privs)):
             rec(0, unc, mask, privs)
         if not todo or k >= n:

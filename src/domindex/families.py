@@ -66,18 +66,21 @@ def validate_family(spec: FamilySpec) -> None:
 
 def parse_family(text: str) -> FamilySpec:
     """Parse strings like ``cycle:9``, ``multipartite:2,3,4`` or
-    ``windmill:r=3,s=4``."""
+    ``windmill:r=3,s=4``. A parameter may be named only where
+    :func:`format_family` names it: windmill's ``r=`` first, ``s=`` second."""
     head, _, rest = text.strip().partition(":")
     kind = head.strip().lower()
     if kind not in KINDS:
         raise InvalidFamilyParams(f"unknown family kind {head!r}")
     if not rest:
         return FamilySpec(kind)
+    names = ("r", "s") if kind == "windmill" else ()
     params = []
-    for tok in rest.split(","):
+    for i, tok in enumerate(rest.split(",")):
+        name, eq, tok = tok.rpartition("=")
+        if eq and (i >= len(names) or name.strip() != names[i]):
+            raise InvalidFamilyParams(f"bad parameter name {name.strip()!r} in {text!r}")
         tok = tok.strip()
-        if "=" in tok:
-            tok = tok.split("=", 1)[1].strip()
         try:
             params.append(int(tok))
         except ValueError:

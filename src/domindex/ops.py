@@ -7,6 +7,8 @@ Composite vertex layout is fixed so results are reproducible:
 * corona: the |G| hub vertices keep their ids, copy i occupies the block
   ``|G| + i*|H| .. |G| + (i+1)*|H| - 1``.
 
+Every operation lists its edges from its operands' edge lists.
+
 The ``*_predicted`` helpers return the closed-form domination degrees of
 composite vertices in the same layout, where a closed form exists.
 """
@@ -38,41 +40,29 @@ def disjoint_union(parts: Sequence[Graph]) -> Graph:
 
 def join(g: Graph, h: Graph) -> Graph:
     """Every vertex of ``g`` made adjacent to every vertex of ``h``."""
-    labels = [f"1:{lbl}" for lbl in g.labels] + [f"2:{lbl}" for lbl in h.labels]
-    edges = list(g.edges())
-    edges += [(g.n + u, g.n + v) for u, v in h.edges()]
-    edges += [(u, g.n + w) for u in range(g.n) for w in range(h.n)]
-    return new_graph(g.n + h.n, edges, labels)
+    union = disjoint_union([g, h])
+    cross = [(a, g.n + b) for a in range(g.n) for b in range(h.n)]
+    return new_graph(union.n, union.edges() + cross, union.labels)
 
 
 def product(g: Graph, h: Graph, kind: str) -> Graph:
-    """Cartesian, direct, strong or composition product on V(g) x V(h)."""
+    """Cartesian (rows and columns), direct (crosses), strong (all three) or
+    composition (rows and blocks; ordered, first factor wins) on V(g) x V(h)."""
     if kind not in PRODUCT_KINDS:
         raise UnsupportedOperation(f"unknown product kind {kind!r}")
-    n = g.n * h.n
-    labels = [f"({gl},{hl})" for gl in g.labels for hl in h.labels]
+    w, ge, he = h.n, g.edges(), h.edges()
     edges = []
-    for a1 in range(g.n):
-        for b1 in range(h.n):
-            u = a1 * h.n + b1
-            for a2 in range(g.n):
-                for b2 in range(h.n):
-                    v = a2 * h.n + b2
-                    if v <= u:
-                        continue
-                    g_adj = g.has_edge(a1, a2) if a1 != a2 else False
-                    h_adj = h.has_edge(b1, b2) if b1 != b2 else False
-                    if kind == "cartesian":
-                        hit = (a1 == a2 and h_adj) or (g_adj and b1 == b2)
-                    elif kind == "direct":
-                        hit = g_adj and h_adj
-                    elif kind == "strong":
-                        hit = (a1 == a2 and h_adj) or (g_adj and b1 == b2) or (g_adj and h_adj)
-                    else:  # composition: ordered, first factor wins
-                        hit = g_adj or (a1 == a2 and h_adj)
-                    if hit:
-                        edges.append((u, v))
-    return new_graph(n, edges, labels)
+    if kind != "direct":  # rows: (a, b1)(a, b2) for each edge b1b2 of h
+        edges += [(a * w + b1, a * w + b2) for a in range(g.n) for b1, b2 in he]
+    if kind in ("cartesian", "strong"):  # columns: (a1, b)(a2, b) for each edge a1a2 of g
+        edges += [(a1 * w + b, a2 * w + b) for a1, a2 in ge for b in range(w)]
+    if kind in ("direct", "strong"):  # crosses: (a1, b1)(a2, b2) and (a1, b2)(a2, b1)
+        edges += [(a1 * w + x, a2 * w + y) for a1, a2 in ge for b1, b2 in he
+                  for x, y in ((b1, b2), (b2, b1))]
+    if kind == "composition":  # blocks: every (a1, x)(a2, y) over an edge a1a2 of g
+        edges += [(a1 * w + x, a2 * w + y) for a1, a2 in ge for x in range(w) for y in range(w)]
+    labels = [f"({gl},{hl})" for gl in g.labels for hl in h.labels]
+    return new_graph(g.n * w, edges, labels)
 
 
 def corona(g: Graph, h: Graph) -> Graph:

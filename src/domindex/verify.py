@@ -47,7 +47,6 @@ from .families import (
     path_index_variants,
     predicted_degree,
     predicted_index,
-    UNRESOLVED,
 )
 from .graph import (
     Graph,
@@ -282,25 +281,22 @@ def _suite_families() -> CheckReport:
         degs = dd_vector(g)
         di = sum(degs)
         proved = spec.kind in ARGUED_REMARKS or spec.kind not in NAMED_REMARKS
-        preds = [predicted_degree(spec, v) for v in range(g.n)]
-        firm = [(v, p) for v, p in enumerate(preds) if p is not UNRESOLVED]
-        contested = [v for v, p in enumerate(preds) if p is UNRESOLVED]
-        if firm:
-            bad = [(g.labels[v], p, degs[v]) for v, p in firm if degs[v] != p]
+        variants, ivariants = contested_variants(spec)
+        if not variants:
+            preds = [predicted_degree(spec, v) for v in range(g.n)]
+            bad = [(g.labels[v], p, degs[v]) for v, p in enumerate(preds) if degs[v] != p]
             rec.record(
                 "family-degree", name, not bad,
                 "computed degree equals the closed form", bad or degs, proved=proved,
             )
-        pred_di = predicted_index(spec)
-        if pred_di is not UNRESOLVED:
+            pred_di = predicted_index(spec)
             rec.record("family-index", name, di == pred_di, pred_di, di, proved=proved)
-        if contested:
+        else:
             oracle = dd_vector_oracle(g)
             rec.record(
                 "family-contested-oracle", name,
                 degs == oracle, oracle, degs,
             )
-            variants, ivariants = contested_variants(spec)
             _, dd_name = _matching(variants, tuple(degs))
             _, di_name = _matching(ivariants, di)
             resolved[name] = {"dd": dd_name, "di": di_name}

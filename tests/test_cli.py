@@ -150,6 +150,7 @@ def test_exit_codes(tmp_path, monkeypatch):
         (["analyze", "--in", F9, "--in", F9], "", 1),  # one input graph only
         (["op", "union", "--in", "-", "--in", "-"], "", 1),  # stdin read once
         (["generate", "cycle:5", "--out", str(missing / "x")], "", 1),
+        (["generate", "windmill:s=4,r=3"], "", 1),  # names out of format_family's order
         (["verify", "--suite", "named-graphs", "--ledger", str(missing / "l.jsonl")], "", 1),
     ):
         code, out, err = run(argv, stdin)

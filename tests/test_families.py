@@ -30,7 +30,7 @@ def test_parse_and_format():
     "text",
     ["nosuch:3", "cycle:2", "wheel:1", "book", "windmill:1,2", "windmill:2",
      "multipartite:2", "multipartite:1,2", "kragujevac:3", "cycle:x", "complete:0",
-     "petersen:3", "cycle:3,4"],
+     "petersen:3", "cycle:3,4", "windmill:s=4,r=3", "cycle:n=9"],
 )
 def test_invalid_params(text):
     with pytest.raises(InvalidFamilyParams):

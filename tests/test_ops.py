@@ -1,5 +1,9 @@
+from itertools import combinations, product as pairs
+
 from domindex import FamilySpec, corona, disjoint_union, generate, join, new_graph, product
+from domindex.classes import _graph_classes
 from domindex.ops import (
+    PRODUCT_KINDS,
     composition_complete_predicted,
     corona_predicted,
     join_predicted,
@@ -113,3 +117,44 @@ def test_corona_formula():
     assert degs == want
     assert degs[:4] == [4] * 4  # hubs: |G|
     assert degs[4] == 1 + 3  # copy vertex: factor degree 1 plus n-1
+
+
+def _adj(g, x, y):
+    return bool(g.open_adj[x] >> y & 1)
+
+
+# when (a1, b1) ~ (a2, b2), for distinct pairs, from each product's
+# definition: ga / hb, the factors' adjacency; sa / sb, equal coordinates
+_RULES = {
+    "cartesian": lambda ga, sa, hb, sb: (sa and hb) or (ga and sb),
+    "direct": lambda ga, sa, hb, sb: ga and hb,
+    "strong": lambda ga, sa, hb, sb: (sa and hb) or (ga and sb) or (ga and hb),
+    "composition": lambda ga, sa, hb, sb: ga or (sa and hb),
+}
+
+
+def _reference_product(g, h, kind):
+    edges = []
+    for u, v in combinations(range(g.n * h.n), 2):
+        (a1, b1), (a2, b2) = divmod(u, h.n), divmod(v, h.n)
+        if _RULES[kind](_adj(g, a1, a2), a1 == a2, _adj(h, b1, b2), b1 == b2):
+            edges.append((u, v))
+    labels = [f"({gl},{hl})" for gl in g.labels for hl in h.labels]
+    return new_graph(g.n * h.n, edges, labels)
+
+
+def _reference_join(g, h):
+    def adj(u, v):  # u < v: within a part as in that part, across the parts always
+        return _adj(g, u, v) if v < g.n else u < g.n or _adj(h, u - g.n, v - g.n)
+
+    edges = [(u, v) for u, v in combinations(range(g.n + h.n), 2) if adj(u, v)]
+    labels = [f"1:{lbl}" for lbl in g.labels] + [f"2:{lbl}" for lbl in h.labels]
+    return new_graph(g.n + h.n, edges, labels)
+
+
+def test_products_and_join_match_their_definitions():
+    classes = [g for g, _ in _graph_classes(4)]
+    for g, h in pairs(classes, repeat=2):
+        for kind in PRODUCT_KINDS:
+            assert product(g, h, kind) == _reference_product(g, h, kind), (g.edges(), h.edges(), kind)
+        assert join(g, h) == _reference_join(g, h), (g.edges(), h.edges())
