@@ -5,7 +5,8 @@
    and witnesses. Each call keeps one State. One stage walk serves both
    searches, from three seeds: solve_dd(v) at the root {v}, solve_dd(-1)
    and solve_dd_all at the root ∅. Three walks of irredundant sets give
-   the minimal dominating sets (scan_minimal_ds), Γ and IR
+   the minimal dominating sets in the order the walk reaches them
+   (scan_minimal_ds; the engine sorts them), Γ and IR
    (scan_irredundance), and ir (scan_ir, from γ down, bounded by the
    domination of G²). The stage walk and scan_ir test each child before
    they enter it, with one bound helper, pruned, on G and on G²;
@@ -348,17 +349,6 @@ mds_walk(State *s, int depth, int start, u64 cover, u64 mask)
     return 0;
 }
 
-/* by (cardinality, mask) */
-static int
-by_size(const void *a, const void *b)
-{
-    u64 x = *(const u64 *)a, y = *(const u64 *)b;
-    int cx = POPCOUNT(x), cy = POPCOUNT(y);
-    if (cx != cy)
-        return cx < cy ? -1 : 1;
-    return x < y ? -1 : x > y;
-}
-
 static PyObject *
 scan_minimal_ds(PyObject *Py_UNUSED(self), PyObject *closed)
 {
@@ -368,8 +358,6 @@ scan_minimal_ds(PyObject *Py_UNUSED(self), PyObject *closed)
     PyObject *out = NULL;
     if (mds_walk(&s, 0, 0, 0, 0) < 0)
         goto done;
-    if (s.count > 1)
-        qsort(s.sets, s.count, sizeof(u64), by_size);
     out = PyList_New((Py_ssize_t)s.count);
     for (size_t i = 0; out != NULL && i < s.count; i++) {
         PyObject *mask = PyLong_FromUnsignedLongLong(s.sets[i]);
@@ -522,7 +510,7 @@ static PyMethodDef methods[] = {
     {"last_nodes", last_nodes, METH_NOARGS,
      "last_nodes() -> sets entered by the last solve_dd, solve_dd_all or scan_ir walk"},
     {"scan_minimal_ds", scan_minimal_ds, METH_O,
-     "scan_minimal_ds(closed) -> minimal dominating sets sorted by (size, mask)"},
+     "scan_minimal_ds(closed) -> minimal dominating sets in walk order"},
     {"scan_irredundance", scan_irredundance, METH_O,
      "scan_irredundance(closed) -> (upper gamma, IR)"},
     {"scan_ir", (PyCFunction)(void (*)(void))scan_ir, METH_FASTCALL,

@@ -65,8 +65,9 @@ last_nodes()
 
 scan_minimal_ds(closed)
     Every minimal dominating set, found by a walk of irredundant sets,
-    returned as masks sorted by (cardinality, mask value). Only set
-    enumeration needs it: the list is its output.
+    returned as masks in the order the walk reaches them, which is the
+    lexicographic order of their sorted ids; both twins return the same
+    list. Only set enumeration needs it, and sorts it for its output.
 
 scan_irredundance(closed)
     (Γ, IR), by one walk of irredundant sets: the maximum cardinality of
@@ -305,7 +306,6 @@ def scan_minimal_ds(closed):
             rec(x + 1, cover | cx, mask | 1 << x, kept)
 
     rec(0, 0, 0, [])
-    out.sort(key=lambda m: (m.bit_count(), m))
     return out
 
 

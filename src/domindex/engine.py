@@ -25,18 +25,28 @@ domination degree of a vertex is the minimum cardinality of a minimal
 dominating set containing it; the domination index is the sum of the
 degrees over all vertices.
 
-Every kernel call passes one private entry: ``_kernels`` guards the
-input and picks the twin (``_walk`` adds the limit of the walks of
-irredundant sets), ``_search`` and ``_search_all`` make the calls of the
-searches, ``_upper`` the Γ/IR walk, and ``_irredundance`` that walk and
-the ir walk. The Γ/IR walk returns values only, so ``_upper`` runs the
-pure-Python twin's walk of a larger graph on ``Graph.search_closed_adj``,
-the closed masks relabelled by descending degree, where it costs less;
-no value depends on the labelling. Every other call runs on
-``closed_adj`` in id order: witnesses are the lexicographically least
-sets in id order, and the γ search and the ir walk gain less from the
-search order than its set-up costs.
-Only :func:`mds_containing_greedy` passes no cap.
+The predicates, the profile's witness check and
+:func:`minimalize_containing` share one cover rule, ``_coverage``: the
+vertices a set covers at least once and at least twice, so that a member
+keeps what its closed neighborhood leaves of the second. Only the oracle
+states the rule apart, so that it stays independent.
+
+Each public computation is one guard and one kernel call. The guard,
+``_kernels``, rejects an empty graph and one over the caller's cap and
+picks the twin; the walks of irredundant sets take ``_WALK_CAP``, or in
+a profile ``min(cap, MAX_SCAN)``. ``_search`` makes the calls of the
+staged search, ``_upper`` the Γ/IR walk, and ``_irredundance`` that walk
+and the ir walk. Only :func:`mds_containing_greedy` passes no cap. The
+twins return the minimal dominating sets in the order their walks reach
+them, and set enumeration sorts them by (cardinality, mask).
+
+The Γ/IR walk returns values only, so ``_upper`` runs the pure-Python
+twin's walk of a larger graph on ``Graph.search_closed_adj``, the closed
+masks relabelled by descending degree, where it costs less; no value
+depends on the labelling. Every other call runs on ``closed_adj`` in id
+order: witnesses are the lexicographically least sets in id order, and
+the γ search and the ir walk gain less from the search order than its
+set-up costs.
 
 Everything here is a pure function of immutable inputs, so concurrent
 calls (including per-vertex degree computations of one graph) are safe.
@@ -46,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import _pykern
 from ._pykern import MAX_SCAN
@@ -58,7 +68,7 @@ from .errors import (
     VertexNotInSet,
     VertexOutOfRange,
 )
-from .graph import Graph, VertexSet, bits_of, mask_of
+from .graph import Graph, VertexSet, bits_of
 
 DEFAULT_EXACT_CAP = 24   # staged searches, profiles, Γ/ir/IR, set enumeration
 DEFAULT_SCAN_CAP = 20    # the oracle's subset scan
@@ -69,26 +79,22 @@ def _check_bound(g: Graph, s: VertexSet) -> None:
         raise ValueError(f"vertex set over {s.n} vertices used with a graph of order {g.n}")
 
 
-def _cover(g: Graph, bits: int) -> int:
-    cov = 0
-    closed = g.closed_adj
-    for a in bits_of(bits):
-        cov |= closed[a]
-    return cov
-
-
-def _private_mask(g: Graph, a: int, bits: int) -> int:
-    others = 0
-    closed = g.closed_adj
-    for b in bits_of(bits & ~(1 << a)):
-        others |= closed[b]
-    return closed[a] & ~others
+def _coverage(closed: tuple[int, ...], members: Iterable[int]) -> tuple[int, int]:
+    """(once, twice): the vertices that the closed neighborhoods
+    ``closed[a]`` of the ``members`` cover at least once and at least
+    twice. The set dominates iff ``once`` is every vertex, and a member
+    ``a`` keeps ``closed[a] & ~twice`` as its private neighborhood."""
+    once = twice = 0
+    for a in members:
+        twice |= once & closed[a]
+        once |= closed[a]
+    return once, twice
 
 
 def is_dominating(g: Graph, s: VertexSet) -> bool:
     """True iff the closed neighborhoods of ``s`` cover every vertex."""
     _check_bound(g, s)
-    return _cover(g, s.bits) == g.full_mask
+    return _coverage(g.closed_adj, s)[0] == g.full_mask
 
 
 def private_neighborhood(g: Graph, a: int, s: VertexSet) -> VertexSet:
@@ -97,18 +103,23 @@ def private_neighborhood(g: Graph, a: int, s: VertexSet) -> VertexSet:
     g.check_vertex(a)
     if a not in s:
         raise VertexNotInSet(f"vertex {a} is not a member of the set")
-    return VertexSet(g.n, _private_mask(g, a, s.bits))
+    return VertexSet(g.n, g.closed_adj[a] & ~_coverage(g.closed_adj, s)[1])
 
 
 def is_irredundant(g: Graph, s: VertexSet) -> bool:
     """True iff every member of ``s`` has a nonempty private neighborhood."""
     _check_bound(g, s)
-    return all(_private_mask(g, a, s.bits) for a in bits_of(s.bits))
+    closed, members = g.closed_adj, s.members()
+    twice = _coverage(closed, members)[1]
+    return all(closed[a] & ~twice for a in members)
 
 
 def is_minimal_dominating(g: Graph, s: VertexSet) -> bool:
     """Dominating and irredundant, i.e. no proper subset still dominates."""
-    return is_dominating(g, s) and is_irredundant(g, s)
+    _check_bound(g, s)
+    closed, members = g.closed_adj, s.members()
+    once, twice = _coverage(closed, members)
+    return once == g.full_mask and all(closed[a] & ~twice for a in members)
 
 
 def _gamma_lower_bound(g: Graph) -> int:
@@ -138,22 +149,9 @@ def _search(kern, g: Graph, v: int, k_lo: int) -> tuple[int, int]:
     return hit
 
 
-def _search_all(kern, g: Graph) -> list[tuple[int, int]]:
-    """``_search(kern, g, v, γ)`` for every vertex ``v``, from one walk
-    per stage size from ceil(n/(1+Δ)) up."""
-    hits = kern.solve_dd_all(g.closed_adj, _gamma_lower_bound(g))
-    if None in hits:
-        raise InternalInvariantViolation(
-            f"no minimal dominating set contains vertex {hits.index(None)}"
-        )
-    return hits
-
-
-def _walk(g: Graph, cap: int, what: str):
-    """The kernel twin for a walk of irredundant sets on ``g``, once ``g``
-    is within ``cap`` and the walks' limit."""
-    return _kernels(g, min(cap, MAX_SCAN), what)
-
+# The cap of the walks of irredundant sets outside a profile: the default
+# cap, within the walks' limit.
+_WALK_CAP = min(DEFAULT_EXACT_CAP, MAX_SCAN)
 
 # The order from which the pure-Python Γ/IR walk runs in the search
 # order. Below it the relabel, 1-2 µs of Python per vertex, costs more
@@ -188,19 +186,17 @@ def domination_number(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> int:
 
 def _irredundance_scan(g: Graph, gamma: int) -> tuple[int, int, int]:
     """(ir, Γ, IR) of a graph whose γ is ``gamma``."""
-    return _irredundance(_walk(g, DEFAULT_EXACT_CAP, "irredundance scan"), g, gamma)
+    return _irredundance(_kernels(g, _WALK_CAP, "irredundance scan"), g, gamma)
 
 
 def upper_domination_number(g: Graph) -> int:
     """Maximum cardinality of a minimal dominating set."""
-    return _upper(_walk(g, DEFAULT_EXACT_CAP, "irredundance scan"), g)[0]
+    return _upper(_kernels(g, _WALK_CAP, "irredundance scan"), g)[0]
 
 
 def irredundance_numbers(g: Graph) -> tuple[int, int]:
     """(ir, IR): extreme cardinalities of maximal irredundant / irredundant sets."""
-    kern = _walk(g, DEFAULT_EXACT_CAP, "irredundance scan")
-    gamma = _search(kern, g, -1, _gamma_lower_bound(g))[0]
-    ir, _, upper_ir = _irredundance(kern, g, gamma)
+    ir, _, upper_ir = _irredundance_scan(g, domination_number(g))
     return ir, upper_ir
 
 
@@ -242,7 +238,9 @@ def domination_degrees(
     contain it, as its own staged search would. γ is the smallest size
     recorded: the members of a minimum dominating set have degree γ.
     """
-    hits = _search_all(_kernels(g, cap, "domination degree search"), g)
+    hits = _kernels(g, cap, "domination degree search").solve_dd_all(g.closed_adj, _gamma_lower_bound(g))
+    if None in hits:
+        raise InternalInvariantViolation(f"no minimal dominating set contains vertex {hits.index(None)}")
     degrees = [size for size, _ in hits]
     return min(degrees), degrees, [VertexSet(g.n, mask) for _, mask in hits]
 
@@ -270,7 +268,7 @@ def domination_profile(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> DominationProf
     any degree search. Then one sweep gives γ and the degrees, and the
     walks of irredundant sets give ir from γ, Γ and IR.
     """
-    kern = _walk(g, cap, "domination profile")
+    kern = _kernels(g, min(cap, MAX_SCAN), "domination profile")
     gamma, degrees, witnesses = domination_degrees(g, cap)
     ir, upper, upper_ir = _irredundance(kern, g, gamma)
     index = sum(degrees)
@@ -297,33 +295,21 @@ def _check_profile(g: Graph, p: DominationProfile) -> None:
         raise InternalInvariantViolation("index outside [n*gamma, n*upper gamma]")
     if not p.ir <= p.gamma <= p.upper_gamma <= p.upper_ir:
         raise InternalInvariantViolation("irredundance chain violated")
-    # One pass per distinct witness: the vertices its members cover once
-    # and twice. It dominates iff ``once`` is every vertex, and a member
-    # keeps a private neighbor iff its closed neighborhood leaves ``twice``.
-    closed = g.closed_adj
-    minimal = set()
+    minimal = set()  # the distinct witnesses checked so far
     for v, w in enumerate(p.witnesses):
-        if v not in w or len(w) != p.degrees[v]:
+        bits = w.bits
+        if (not bits >> v & 1 or bits.bit_count() != p.degrees[v]
+                or bits not in minimal and not is_minimal_dominating(g, w)):
             raise InternalInvariantViolation(f"bad witness for vertex {v}")
-        if w.bits in minimal:
-            continue
-        members = w.members()
-        once = twice = 0
-        for a in members:
-            twice |= once & closed[a]
-            once |= closed[a]
-        if once != g.full_mask or not all(closed[a] & ~twice for a in members):
-            raise InternalInvariantViolation(f"bad witness for vertex {v}")
-        minimal.add(w.bits)
+        minimal.add(bits)
 
 
 def enumerate_minimal_dominating_sets(g: Graph) -> Iterator[VertexSet]:
     """Every minimal dominating set once, smallest cardinality first,
     ties broken by ascending mask value. The guards and the walk run at
     the call, so a graph over the cap fails here, not at the first item."""
-    kern = _walk(g, DEFAULT_EXACT_CAP, "minimal dominating set enumeration")
-    masks = kern.scan_minimal_ds(g.closed_adj)
-    return (VertexSet(g.n, mask) for mask in masks)
+    masks = _kernels(g, _WALK_CAP, "minimal dominating set enumeration").scan_minimal_ds(g.closed_adj)
+    return (VertexSet(g.n, mask) for mask in sorted(masks, key=lambda m: (m.bit_count(), m)))
 
 
 def mds_containing_greedy(g: Graph, v: int) -> VertexSet:
@@ -356,24 +342,24 @@ def minimalize_containing(g: Graph, d: VertexSet, v: int) -> VertexSet:
     if not is_dominating(g, d):
         raise NotDominating("input set does not dominate the graph")
     closed = g.closed_adj
-    full = g.full_mask
-    members = set(d.members())
+    bits = d.bits
     while True:
-        redundant = [a for a in members if a != v and _private_mask(g, a, mask_of(members)) == 0]
+        twice = _coverage(closed, bits_of(bits))[1]
+        redundant = [a for a in bits_of(bits & ~(1 << v)) if not closed[a] & ~twice]
         if redundant:
-            members.remove(max(redundant))
+            bits ^= 1 << redundant[-1]
             continue
-        if _private_mask(g, v, mask_of(members)) != 0:
+        if closed[v] & ~twice:
             break
-        dominator = min(x for x in members if x != v and (closed[x] >> v) & 1)
-        members.remove(dominator)
-        covered = _cover(g, mask_of(members))
-        for x in bits_of(full & ~covered):
+        dominators = bits & closed[v] & ~(1 << v)
+        bits ^= dominators & -dominators  # the lowest
+        covered = _coverage(closed, bits_of(bits))[0]
+        for x in bits_of(g.full_mask & ~covered):
             if (covered >> x) & 1:
                 continue
-            members.add(x)
+            bits |= 1 << x
             covered |= closed[x]
-    out = g.vertex_set(members)
+    out = VertexSet(g.n, bits)
     if not is_minimal_dominating(g, out):
         raise InternalInvariantViolation(f"minimalizing around vertex {v} gave a non-minimal set")
     return out

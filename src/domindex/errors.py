@@ -18,7 +18,9 @@ class VertexOutOfRange(DomindexError):
 
 
 class LabelConflict(DomindexError):
-    """Two vertices carry the same label."""
+    """Vertex labels that do not fit the graph: repeated, miscounted, or
+    not one edge-list token (empty, holding whitespace or starting with
+    ``#``)."""
 
 
 class NotAPermutation(DomindexError):
@@ -50,7 +52,8 @@ class InvalidFamilyParams(DomindexError):
 
 
 class UnsupportedOperation(DomindexError):
-    """No closed-form prediction exists for the requested operation."""
+    """An operation asked of inputs it does not take: a union of no graphs,
+    an unknown product kind or a wrong count of input graphs."""
 
 
 class UnknownSuite(DomindexError):

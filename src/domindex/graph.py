@@ -79,10 +79,9 @@ class Graph:
         """``closed_adj`` relabelled into the search order, computed once
         per graph: vertices by descending degree, ties by ascending id.
         Entry i is the closed neighborhood of the i-th vertex of that
-        order, as a mask over positions in it. The pure-Python walk for
-        Γ and IR, which returns values only, runs on it on larger graphs,
-        since it costs less with high-degree vertices first; witnesses
-        are searched in id order."""
+        order, as a mask over positions in it. It describes a graph
+        isomorphic to this one: the same invariants, such as γ, Γ, ir and
+        IR, over other vertex ids."""
         deg = [-a.bit_count() for a in self.open_adj]
         order = sorted(range(self.n), key=deg.__getitem__)
         bit = [0] * self.n
@@ -167,7 +166,9 @@ def new_graph(
     """Build a graph from an edge list, deduplicating and symmetrising.
 
     Raises ``SelfLoop``/``InvalidEdge`` for loops, ``VertexOutOfRange`` for
-    endpoints outside ``0..n-1`` and ``LabelConflict`` for repeated labels.
+    endpoints outside ``0..n-1`` and ``LabelConflict`` for labels that are
+    miscounted, repeated, or not one edge-list token: empty, holding
+    whitespace or starting with ``#``.
     """
     if n < 0:
         raise VertexOutOfRange("vertex count must be non-negative")
@@ -177,6 +178,10 @@ def new_graph(
         labels = tuple(labels)
         if len(labels) != n:
             raise LabelConflict(f"expected {n} labels, got {len(labels)}")
+        for lbl in labels:
+            # an edge list holds a label as one token, and "#" starts a comment
+            if lbl.split() != [lbl] or lbl[0] == "#":
+                raise LabelConflict(f"label {lbl!r} is empty, holds whitespace or starts with '#'")
         if len(set(labels)) != n:
             seen: set[str] = set()
             for lbl in labels:

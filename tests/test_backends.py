@@ -84,6 +84,20 @@ def _walks(kern, closed, gamma):
     return (kern.scan_ir(closed, gamma),) + kern.scan_irredundance(closed)
 
 
+def test_compiled_twin_has_the_kernel_functions(compiled, monkeypatch):
+    # The extension is rarely built in the tree, so a function dropped from
+    # the C twin alone would break only the benchmark's traced runs, which
+    # wrap every name in KERNEL_FUNCS.
+    monkeypatch.syspath_prepend(str(SOURCE.parents[2] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+
+    def functions(kern):
+        return {name for name, f in vars(kern).items() if callable(f) and not name.startswith("_")}
+
+    assert set(tracing.KERNEL_FUNCS) <= functions(compiled)
+    assert functions(compiled) == functions(_pykern)
+
+
 def test_solve_dd_identical_results_and_witnesses(compiled):
     # the engine passes the graph's own tuple; both twins take any sequence
     for g in corpus():

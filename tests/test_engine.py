@@ -82,6 +82,34 @@ def test_private_neighborhood(f9_by_label):
     assert pn.members() == (2, 3, 4)
 
 
+def test_predicates_match_the_definition():
+    # Every subset of every labelled graph on at most 4 vertices. A member's
+    # private neighborhood is N[a] minus the union of the other members'
+    # closed neighborhoods, and a set is minimal dominating when it
+    # dominates and no set with one member fewer does.
+    for n in range(1, 5):
+        for g in enumerate_labeled_graphs(n):
+            for bits in range(1 << n):
+                s = VertexSet(n, bits)
+                members = s.members()
+                privs = [g.closed_adj[a] & ~_union(g, bits & ~(1 << a)) for a in members]
+                assert [private_neighborhood(g, a, s).bits for a in members] == privs, (g.edges(), bits)
+                assert is_irredundant(g, s) == all(privs), (g.edges(), bits)
+                dominating = _union(g, bits) == g.full_mask
+                assert is_dominating(g, s) == dominating, (g.edges(), bits)
+                smaller = any(_union(g, bits & ~(1 << a)) == g.full_mask for a in members)
+                assert is_minimal_dominating(g, s) == (dominating and not smaller), (g.edges(), bits)
+
+
+def _union(g, bits):
+    """The union of the closed neighborhoods of the vertices in ``bits``."""
+    out = 0
+    for a in range(g.n):
+        if bits >> a & 1:
+            out |= g.closed_adj[a]
+    return out
+
+
 def test_is_minimal_dominating(f9_by_label):
     g = f9_by_label
     assert is_minimal_dominating(g, g.vertex_set_from_labels(["a2", "a3", "a5"]))
@@ -261,10 +289,15 @@ def test_enumerate_star():
 
 
 def test_enumeration_order_is_cardinality_then_mask():
-    g = cycle(5)
-    sets = list(enumerate_minimal_dominating_sets(g))
-    keys = [(len(s), s.bits) for s in sets]
-    assert keys == sorted(keys)
+    # the kernels return the sets in walk order, which the engine sorts:
+    # on P6 the walk reaches {0, 2, 4} before {1, 4}
+    p6 = path(6)
+    for g in (cycle(5), p6):
+        keys = [(len(s), s.bits) for s in enumerate_minimal_dominating_sets(g)]
+        assert keys == sorted(keys)
+    walked = kernels_for(6).scan_minimal_ds(p6.closed_adj)
+    listed = [s.bits for s in enumerate_minimal_dominating_sets(p6)]
+    assert walked != listed and sorted(walked) == sorted(listed)
 
 
 # the constructive procedures ----------------------------------------------

@@ -63,6 +63,12 @@ def test_constructor_errors():
         new_graph(2, [], labels=["x", "x"])
     with pytest.raises(LabelConflict):
         new_graph(2, [], labels=["x"])
+    # labels an edge list cannot carry: emitted, they would read back as
+    # other vertices, or as none
+    for bad in ("a b", "#c", "", "d\te"):
+        with pytest.raises(LabelConflict):
+            new_graph(3, [(0, 1)], ["x", "y", bad])
+    assert new_graph(2, [(0, 1)], ["a#", "b"]).labels == ("a#", "b")
 
 
 def test_default_labels_are_decimal_ids():
