@@ -43,9 +43,6 @@ from .graph import (
     permute,
     wiener_index,
 )
-from .ops import corona, disjoint_union, join, product
-from .classes import enumerate_labeled_graphs, random_graph
-from .verify import Limits, run_suite
 
 __version__ = "0.1.0"
 
@@ -97,3 +94,32 @@ __all__ = [
     "wiener_index",
     "__version__",
 ]
+
+# Served on first use (PEP 562), so that importing the package, or the
+# CLI for a subcommand that needs none of them, loads no ``ops``,
+# ``classes`` or ``verify``. The three submodules are served too, so
+# ``import domindex`` is enough to reach ``domindex.verify``.
+_LAZY = {
+    "corona": "ops",
+    "disjoint_union": "ops",
+    "join": "ops",
+    "product": "ops",
+    "enumerate_labeled_graphs": "classes",
+    "random_graph": "classes",
+    "Limits": "verify",
+    "run_suite": "verify",
+}
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _LAZY:
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    if name in _LAZY.values():
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

@@ -11,9 +11,16 @@ Exit codes: 0 success, 1 usage error or an unwritable ``--out`` or
 that cannot be read, decoded as UTF-8 or parsed, 4 exact cap exceeded,
 5 internal error (a computed result failed a self-check: a bug in
 domindex, not in the input). Each error prints one ``domindex:`` line
-on stderr and nothing on stdout. When the reader of stdout has closed
-the pipe, stdout is pointed at ``os.devnull``, no traceback is printed
-and the exit code is 1.
+on stderr and nothing on stdout. A command that succeeds prints each
+warning it raised (a duplicate edge in the input) as one
+``domindex: warning:`` line on stderr. When the reader of stdout has
+closed the pipe, stdout is pointed at ``os.devnull``, no traceback is
+printed and the exit code is 1.
+
+A call whose first argument names a subcommand builds the parser of
+that subcommand only; ``-h``, a missing or an unknown subcommand builds
+all of them. ``verify`` and ``ops`` are imported only by the
+subcommands that run them.
 """
 
 from __future__ import annotations
@@ -22,8 +29,10 @@ import argparse
 import json
 import os
 import sys
+import warnings
+from typing import Callable, NamedTuple
 
-from . import engine, formats, verify
+from . import engine, formats
 from .errors import (
     DomindexError,
     ExactCapExceeded,
@@ -35,7 +44,6 @@ from .errors import (
 )
 from .families import generate, parse_family
 from .graph import Graph, VertexSet
-from .ops import OP_NAMES, PRODUCT_KINDS, corona, disjoint_union, join, product
 
 USAGE_ERROR, VIOLATION, PARSE_ERROR, CAP_ERROR, INTERNAL_ERROR = 1, 2, 3, 4, 5
 
@@ -45,55 +53,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="domindex", description="Exact domination degree and index toolkit")
-    sub = p.add_subparsers(dest="command", required=True)
+def _cap(text: str) -> int:
+    """``--max-exact``: an integer of at least 1 (a lower cap refuses every graph)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
 
-    def common(sp, choices, inputs=1, cap=True):
-        """Flags shared by the subcommands; ``choices[0]`` is the default format."""
-        if inputs:
-            sp.add_argument(
-                "--in", dest="inputs", action="append", metavar="PATH",
-                help="input edge list; '-' or omitted reads stdin"
-                + (" (repeat for the second operand)" if inputs == 2 else ""),
-            )
-        sp.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-        sp.add_argument("--format", choices=choices, default=choices[0])
-        if cap:
-            sp.add_argument("--max-exact", type=int, default=engine.DEFAULT_EXACT_CAP, metavar="N")
 
-    sp = sub.add_parser("analyze", help="full domination profile of a graph")
-    common(sp, ("json", "text"))
-
-    sp = sub.add_parser("generate", help="emit a parameterized family graph")
-    sp.add_argument("family", help="e.g. cycle:9, multipartite:2,3,4, windmill:r=3,s=4, petersen")
-    common(sp, ("text", "dot"), inputs=0, cap=False)
-
-    sp = sub.add_parser("op", help="combine two graphs")
-    sp.add_argument("name", choices=OP_NAMES)
-    common(sp, ("text", "dot"), inputs=2, cap=False)
-
-    sp = sub.add_parser("degree", help="domination degree of one vertex")
-    sp.add_argument("--vertex", required=True, metavar="LABEL")
-    common(sp, ("text", "json"))
-
-    sp = sub.add_parser("mds-containing", help="a minimal dominating set containing a vertex")
-    sp.add_argument("--vertex", required=True, metavar="LABEL")
-    sp.add_argument("--algorithm", choices=("greedy", "exact"), default="greedy")
-    common(sp, ("text", "json", "dot"))
-
-    sp = sub.add_parser("verify", help="run a verification suite")
-    sp.add_argument("--suite", required=True, choices=verify.SUITE_NAMES)
-    sp.add_argument("--ledger", metavar="PATH", help="write discrepancies as JSON lines")
-    sp.add_argument("--limit", type=int, default=None, metavar="N",
-                    help="largest order the exhaustive suites walk (default 6, at least 1;"
-                    " 15 and at least 3 for paths-resolution); the other suites run fixed pools")
-    common(sp, ("text", "json"), inputs=0, cap=False)
-
-    sp = sub.add_parser("facility", help="hub placement: minimum minimal dominating set around a hub")
-    sp.add_argument("--hub", required=True, metavar="LABEL")
-    common(sp, ("text", "json", "dot"))
-    return p
+def _common(sp, choices, inputs=1, cap=True):
+    """Flags shared by the subcommands; ``choices[0]`` is the default format."""
+    if inputs:
+        sp.add_argument(
+            "--in", dest="inputs", action="append", metavar="PATH",
+            help="input edge list; '-' or omitted reads stdin"
+            + (" (repeat for the second operand)" if inputs == 2 else ""),
+        )
+    sp.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+    sp.add_argument("--format", choices=choices, default=choices[0])
+    if cap:
+        sp.add_argument("--max-exact", type=_cap, default=engine.DEFAULT_EXACT_CAP, metavar="N")
 
 
 def _read_graph(path: str | None) -> Graph:
@@ -142,6 +124,13 @@ def _emit_graph(args, g: Graph) -> str:
     return formats.emit_dot(g) if args.format == "dot" else formats.emit_edgelist(g)
 
 
+# Each subcommand is a parser block (``_args_*``, which adds its flags)
+# and a handler (``_cmd_*``, which returns stdout text and exit code).
+
+def _args_analyze(sp):
+    _common(sp, ("json", "text"))
+
+
 def _cmd_analyze(args) -> tuple[str, int]:
     g = _single_input(args)
     report = formats.build_report(g, engine.domination_profile(g, cap=args.max_exact))
@@ -149,26 +138,45 @@ def _cmd_analyze(args) -> tuple[str, int]:
     return emit(report), 0
 
 
+def _args_generate(sp):
+    sp.add_argument("family", help="e.g. cycle:9, multipartite:2,3,4, windmill:r=3,s=4, petersen")
+    _common(sp, ("text", "dot"), inputs=0, cap=False)
+
+
 def _cmd_generate(args) -> tuple[str, int]:
     return _emit_graph(args, generate(parse_family(args.family)).graph), 0
 
 
-_OPS = {
-    "union": lambda a, b: disjoint_union([a, b]),
-    "join": join,
-    "corona": corona,
-    **{kind: (lambda a, b, kind=kind: product(a, b, kind)) for kind in PRODUCT_KINDS},
-}
+def _args_op(sp):
+    from .ops import OP_NAMES
+
+    sp.add_argument("name", choices=OP_NAMES)
+    _common(sp, ("text", "dot"), inputs=2, cap=False)
 
 
 def _cmd_op(args) -> tuple[str, int]:
+    from .ops import corona, disjoint_union, join, product
+
     inputs = args.inputs or []
     if len(inputs) != 2:
         raise UnsupportedOperation("op needs exactly two --in graphs ('-' for stdin once)")
     if inputs.count("-") > 1:
         raise UnsupportedOperation("only one operand may come from stdin")
     a, b = (_read_graph(path) for path in inputs)
-    return _emit_graph(args, _OPS[args.name](a, b)), 0
+    if args.name == "union":
+        g = disjoint_union([a, b])
+    elif args.name == "join":
+        g = join(a, b)
+    elif args.name == "corona":
+        g = corona(a, b)
+    else:
+        g = product(a, b, args.name)
+    return _emit_graph(args, g), 0
+
+
+def _args_degree(sp):
+    sp.add_argument("--vertex", required=True, metavar="LABEL")
+    _common(sp, ("text", "json"))
 
 
 def _cmd_degree(args) -> tuple[str, int]:
@@ -177,6 +185,12 @@ def _cmd_degree(args) -> tuple[str, int]:
     text = f"dd({args.vertex}) = {size}\nwitness: {' '.join(labels)}\n"
     payload = {"vertex": args.vertex, "dd": size, "witness": labels}
     return _render_set(args, g, witness, text, payload), 0
+
+
+def _args_mds_containing(sp):
+    sp.add_argument("--vertex", required=True, metavar="LABEL")
+    sp.add_argument("--algorithm", choices=("greedy", "exact"), default="greedy")
+    _common(sp, ("text", "json", "dot"))
 
 
 def _cmd_mds_containing(args) -> tuple[str, int]:
@@ -190,12 +204,30 @@ def _cmd_mds_containing(args) -> tuple[str, int]:
     return _render_set(args, g, s, " ".join(labels) + "\n", payload), 0
 
 
+def _args_verify(sp):
+    from .verify import SUITE_NAMES
+
+    sp.add_argument("--suite", required=True, choices=SUITE_NAMES)
+    sp.add_argument("--ledger", metavar="PATH", help="write discrepancies as JSON lines")
+    sp.add_argument("--limit", type=int, default=None, metavar="N",
+                    help="largest order the exhaustive suites walk (default 6, at least 1;"
+                    " 15 and at least 3 for paths-resolution); the other suites run fixed pools")
+    _common(sp, ("text", "json"), inputs=0, cap=False)
+
+
 def _cmd_verify(args) -> tuple[str, int]:
+    from . import verify
+
     report = verify.run_suite(args.suite, verify.Limits(max_n=args.limit))
     if args.ledger:
         verify.write_ledger(report, args.ledger)
     emit = verify.report_to_json if args.format == "json" else verify.report_to_text
     return emit(report), 0 if report.ok else VIOLATION
+
+
+def _args_facility(sp):
+    sp.add_argument("--hub", required=True, metavar="LABEL")
+    _common(sp, ("text", "json", "dot"))
 
 
 def _cmd_facility(args) -> tuple[str, int]:
@@ -206,26 +238,46 @@ def _cmd_facility(args) -> tuple[str, int]:
     return _render_set(args, g, witness, text, payload), 0
 
 
+class _Command(NamedTuple):
+    help: str
+    add_arguments: Callable[[_Parser], None]
+    run: Callable[[argparse.Namespace], tuple[str, int]]
+
+
 _COMMANDS = {
-    "analyze": _cmd_analyze,
-    "generate": _cmd_generate,
-    "op": _cmd_op,
-    "degree": _cmd_degree,
-    "mds-containing": _cmd_mds_containing,
-    "verify": _cmd_verify,
-    "facility": _cmd_facility,
+    "analyze": _Command("full domination profile of a graph", _args_analyze, _cmd_analyze),
+    "generate": _Command("emit a parameterized family graph", _args_generate, _cmd_generate),
+    "op": _Command("combine two graphs", _args_op, _cmd_op),
+    "degree": _Command("domination degree of one vertex", _args_degree, _cmd_degree),
+    "mds-containing": _Command("a minimal dominating set containing a vertex",
+                               _args_mds_containing, _cmd_mds_containing),
+    "verify": _Command("run a verification suite", _args_verify, _cmd_verify),
+    "facility": _Command("hub placement: minimum minimal dominating set around a hub",
+                         _args_facility, _cmd_facility),
 }
 
 
+def _build_parser(names) -> _Parser:
+    """The top-level parser with the subparsers of ``names``, in table order."""
+    p = _Parser(prog="domindex", description="Exact domination degree and index toolkit")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name in names:
+        command = _COMMANDS[name]
+        command.add_arguments(sub.add_parser(name, help=command.help))
+    return p
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    args = _build_parser(names).parse_args(argv)
     try:
-        text, code = _COMMANDS[args.command](args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            text, code = _COMMANDS[args.command].run(args)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            return code
     except ExactCapExceeded as exc:
         print(f"domindex: {exc}", file=sys.stderr)
         return CAP_ERROR
@@ -242,6 +294,10 @@ def main(argv: list[str] | None = None) -> int:
         # an unwritable --out or --ledger; input errors are UnreadableInput
         print(f"domindex: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    for w in caught:
+        print(f"domindex: warning: {w.message}", file=sys.stderr)
+    if args.out:
+        return code
     try:
         sys.stdout.write(text)
         sys.stdout.flush()

@@ -163,6 +163,11 @@ def test_exit_codes(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--suite", "bogus"])
     assert exc.value.code == 1
+    for argv in (["analyze", "--max-exact", "0"], ["analyze", "--max-exact", "-5"],
+                 ["degree", "--in", F9, "--vertex", "a2", "--max-exact", "0"]):
+        with pytest.raises(SystemExit) as exc:  # a cap below 1 would refuse every graph
+            run(argv, stdin="a b\n")
+        assert exc.value.code == 1, argv
     # a search that finds no set breaks an invariant: a bug, not bad input
     kern = engine.kernels_for(9)
     monkeypatch.setattr(kern, "solve_dd", lambda *args: None)
@@ -328,18 +333,114 @@ def test_unsupported_option_is_usage_error(argv):
     assert out.getvalue() == ""
 
 
-def test_closed_stdout_pipe_exits_cleanly():
+def _child_env():
+    """This environment, with the package's source tree first on the path."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_closed_stdout_pipe_exits_cleanly():
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the child starts
     try:
         child = subprocess.run(
             [sys.executable, "-m", "domindex", "generate", "cycle:50"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            stdout=write_end, stderr=subprocess.PIPE, env=_child_env(), timeout=60,
         )
     finally:
         os.close(write_end)
     assert "Traceback" not in child.stderr.decode()
     assert child.returncode == 1
+
+
+def test_duplicate_edge_warns_once_per_call():
+    clean = run(["analyze"], stdin="a b\n")
+    line = "domindex: warning: line 2: duplicate edge a b\n"
+    for _ in range(2):  # a second call in the same process warns again
+        assert run(["analyze"], stdin="a b\na b\n") == (0, clean[1], line)
+    # the interpreter's warning filters turn it neither off nor into a traceback
+    child = subprocess.run([sys.executable, "-W", "error", "-m", "domindex", "analyze"],
+                           input="a b\na b\n", capture_output=True, text=True,
+                           env=_child_env(), timeout=60)
+    assert (child.returncode, child.stdout, child.stderr) == (0, clean[1], line)
+
+
+def _outcome(argv):
+    """``main(argv)``'s exit code, stdout and stderr, a usage exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_SUBCOMMAND_ARGV = [
+    ["analyze", "--in", F9],
+    ["generate", "petersen", "--format", "dot"],
+    ["op", "corona", "--in", F9, "--in", F9],
+    ["degree", "--in", F9, "--vertex", "a2", "--format", "json"],
+    ["mds-containing", "--in", F9, "--vertex", "a2", "--algorithm", "exact"],
+    ["verify", "--suite", "named-graphs"],
+    ["facility", "--in", F9, "--hub", "a2", "--format", "dot"],
+]
+_MALFORMED_ARGV = [
+    [], ["-h"], ["bogus"], ["anal"],
+    ["generate"], ["op", "union", "--format"], ["degree", "--in", F9],
+    ["mds-containing", "--in", F9], ["verify"], ["facility", "--in", F9],  # a required argument missing
+    ["op", "meet"], ["verify", "--suite", "bogus"], ["analyze", "--format", "dot"],
+    ["mds-containing", "--vertex", "a2", "--algorithm", "best"],  # a bad choice
+    ["analyze", "--bogus"], ["generate", "cycle:5", "--max-exact", "3"],  # an unknown flag
+    ["analyze", "--max-exact", "x"], ["degree", "--vertex", "a2", "--max-exact", "2.5"],
+    ["facility", "--hub", "a2", "--max-exact", ""],  # a cap that is not an integer
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    _SUBCOMMAND_ARGV + [[argv[0], "-h"] for argv in _SUBCOMMAND_ARGV] + _MALFORMED_ARGV,
+    ids=" ".join,
+)
+def test_one_subcommand_parser_acts_as_the_full_parser(argv, monkeypatch):
+    from domindex import cli
+
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda names: built.append(list(names)) or build(names))
+    got = _outcome(argv)
+    assert built == [argv[:1] if argv and argv[0] in cli._COMMANDS else list(cli._COMMANDS)]
+    monkeypatch.setattr(cli, "_build_parser", lambda names: build(cli._COMMANDS))
+    assert got == _outcome(argv)
+
+
+def test_generate_and_analyze_import_no_verify_classes_or_ops():
+    probe = (
+        "import io, json, sys\n"
+        "from domindex.cli import main\n"
+        "sys.stdout = io.StringIO()\n"
+        "codes = [main(['generate', 'cycle:6'])]\n"
+        "sys.stdin, sys.stdout = io.StringIO(sys.stdout.getvalue()), io.StringIO()\n"
+        "codes.append(main(['analyze']))\n"
+        "di = json.loads(sys.stdout.getvalue())['di']\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(json.dumps([codes, di, sorted(m for m in sys.modules if m.startswith('domindex'))]))\n"
+    )
+    child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                           env=_child_env(), timeout=60)
+    codes, di, loaded = json.loads(child.stdout)
+    assert (codes, di) == ([0, 0], 12)
+    assert not {"domindex.verify", "domindex.classes", "domindex.ops"} & set(loaded)
+    import domindex
+
+    for name in domindex.__all__:
+        assert getattr(domindex, name) is not None, name
+    assert domindex.run_suite is domindex.verify.run_suite
+    for argv, want in ((["verify", "--suite", "named-graphs"], "named-graphs"),
+                       (["op", "union", "--in", F9, "--in", F9], "1:a1 1:a2")):
+        child = subprocess.run([sys.executable, "-m", "domindex", *argv], capture_output=True,
+                               text=True, env=_child_env(), timeout=120)
+        assert child.returncode == 0 and want in child.stdout, (argv, child.stderr)
+
