@@ -8,7 +8,8 @@
    the minimal dominating sets in the order the walk reaches them
    (scan_minimal_ds; the engine sorts them), Γ and IR
    (scan_irredundance), and ir (scan_ir, from γ down, bounded by the
-   domination of G²). The stage walk and scan_ir test each child before
+   domination of G², and stopped at a bound from γ and from the maximum
+   degree). The stage walk and scan_ir test each child before
    they enter it, with one bound helper, pruned, on G and on G²;
    last_nodes() gives the number of sets the last of these walks entered.
    Restricted to graphs with at most 64 vertices, so every mask fits one
@@ -482,16 +483,29 @@ scan_ir(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
         PyErr_Format(PyExc_ValueError, "gamma must lie in 1..%d, got %d", s.n, s.lo);
         return NULL;
     }
-    s.stop = (s.lo + 2) / 2;  /* ir >= ceil((gamma + 1) / 2), as gamma <= 2 ir - 1 */
-    for (int v = s.n - 1; v >= 0; v--) {  /* reach over G² */
-        s.square[v] = 0;
-        for (u64 rest = s.closed[v]; rest != 0; rest &= rest - 1)
-            s.square[v] |= s.closed[CTZ(rest)];
-        s.reach[v] = s.reach[v + 1] | s.square[v];
+    /* ir >= ceil((gamma + 1) / 2), as gamma <= 2 ir - 1, and
+       ir >= ceil(n / max(delta + 1, 2 delta - 1)), the contract's degree
+       bound; delta is read only when the first leaves room below gamma */
+    s.stop = (s.lo + 2) / 2;
+    if (s.stop < s.lo) {
+        int delta = 0;
+        for (int v = 0; v < s.n; v++)
+            if (POPCOUNT(s.closed[v]) - 1 > delta)
+                delta = POPCOUNT(s.closed[v]) - 1;
+        int per = delta > 2 ? 2 * delta - 1 : delta + 1, bound = (s.n + per - 1) / per;
+        if (bound > s.stop)
+            s.stop = bound;
     }
-    if (s.lo > s.stop && !pruned(s.square, 0, s.full, s.lo - 1)
-        && ir_walk(&s, 0, 0, 0, 0) < 0)
-        return NULL;
+    if (s.lo > s.stop) {  /* else no set to enter, so no G² to build */
+        for (int v = s.n - 1; v >= 0; v--) {  /* reach over G² */
+            s.square[v] = 0;
+            for (u64 rest = s.closed[v]; rest != 0; rest &= rest - 1)
+                s.square[v] |= s.closed[CTZ(rest)];
+            s.reach[v] = s.reach[v + 1] | s.square[v];
+        }
+        if (!pruned(s.square, 0, s.full, s.lo - 1) && ir_walk(&s, 0, 0, 0, 0) < 0)
+            return NULL;
+    }
     entered = s.nodes;
     return PyLong_FromLong(s.lo);
 }

@@ -102,8 +102,18 @@ later vertices dominate every uncovered vertex.
 ``scan_ir`` looks only for a maximal irredundant set smaller than lo,
 the size of the smallest one found so far:
   - lo starts at γ, as a minimum dominating set is maximal irredundant;
-  - the walk stops once lo ≤ ⌈(γ+1)/2⌉, which ir cannot undercut, as
-    γ ≤ 2·ir − 1 (Bollobás and Cockayne, J. Graph Theory 1979);
+  - the walk stops once lo ≤ max(⌈(γ+1)/2⌉, ⌈n / max(Δ+1, 2Δ−1)⌉),
+    which ir cannot undercut, and enters no set when that reaches γ.
+    The first term holds as γ ≤ 2·ir − 1 (Bollobás and Cockayne,
+    J. Graph Theory 1979). The degree bound, a count of the same kind:
+    let S be maximal irredundant with s = |S|. A member that is its own
+    private vertex covers at most Δ+1 vertices. A member x that another
+    member dominates is counted twice in Σ|N[z]|, so N[x] adds at most Δ
+    new vertices. An undominated vertex w is its own private vertex in
+    S+w, so, S being maximal, some member x loses all its private
+    vertices to N[w]; x is of the second kind (w is not adjacent to x),
+    so w ∈ N(p_x) − x for a fixed private vertex p_x ≠ x of x: at most
+    Δ−1 such w per member. Hence n ≤ s·max(Δ+1, 2Δ−1);
   - a set S may add lo − 1 − |S| more vertices;
   - the G² bound. A maximal irredundant set S dominates G², the graph
     whose closed neighbourhoods are the vertices within distance 2: for
@@ -361,6 +371,15 @@ def scan_ir(closed, gamma):
     n = _scan_order(closed)
     if not 1 <= gamma <= n:
         raise ValueError(f"gamma must lie in 1..{n}, got {gamma}")
+    # ir ≥ ⌈(γ+1)/2⌉, as γ ≤ 2ir − 1, and ir ≥ ⌈n / max(Δ+1, 2Δ−1)⌉;
+    # Δ is read only when the first leaves room below γ
+    stop = (gamma + 2) // 2
+    if stop < gamma:
+        delta = max(map(int.bit_count, closed)) - 1
+        stop = max(stop, -(-n // max(delta + 1, 2 * delta - 1)))
+    if stop >= gamma:
+        _nodes = 0
+        return gamma  # no set to enter, so no G² to build
     full = (1 << n) - 1
     # square: closed neighbourhoods of G², the vertices within distance 2
     square = [0] * n
@@ -371,7 +390,6 @@ def scan_ir(closed, gamma):
             square[v] |= closed[low.bit_length() - 1]
             rest ^= low
     reach = _reach(square, n)
-    stop = (gamma + 2) // 2  # ir ≥ ⌈(γ+1)/2⌉, as γ ≤ 2ir − 1
     lo = gamma
     nodes = 0
 
@@ -415,7 +433,7 @@ def scan_ir(closed, gamma):
                 return
         lo = c
 
-    if lo > stop and not _cut(square, 0, full, lo - 1):
+    if not _cut(square, 0, full, lo - 1):
         rec(0, 0, 0, [])
     _nodes = nodes
     return lo

@@ -6,11 +6,14 @@ staged branch-and-bound walk (smallest cardinality first, so the first
 set that serves a vertex is a minimum), seeded at {v} for one vertex and
 at ∅ for γ or for every vertex at once; and the remaining quantities
 come from walks of irredundant sets. One walk gives the upper
-domination number Γ and the upper irredundance number IR. A walk of its
-own gives the irredundance number ir: it starts from γ, which bounds ir
-from above, and it cuts each branch whose sets cannot dominate G², as
-every maximal irredundant set does. Only set enumeration walks them for
-the minimal dominating sets themselves.
+domination number Γ and the upper irredundance number IR, except that
+in pure Python a bipartite graph takes both from its independence
+number, as Γ = IR = α there. A walk of its own gives the irredundance
+number ir: it starts from γ, which bounds ir from above, it cuts each
+branch whose sets cannot dominate G², as every maximal irredundant set
+does, and it stops at a lower bound on ir from γ and the maximum degree.
+Only set enumeration walks them for the minimal dominating sets
+themselves.
 The staged walk is independently cross-checkable against
 :func:`dd_vector_oracle`, a full-subset-scan implementation of the
 definition that shares no code with the search kernels. It still tests
@@ -40,13 +43,17 @@ and the ir walk. Only :func:`mds_containing_greedy` passes no cap. The
 twins return the minimal dominating sets in the order their walks reach
 them, and set enumeration sorts them by (cardinality, mask).
 
-The Γ/IR walk returns values only, so ``_upper`` runs the pure-Python
-twin's walk of a larger graph on ``Graph.search_closed_adj``, the closed
-masks relabelled by descending degree, where it costs less; no value
-depends on the labelling. Every other call runs on ``closed_adj`` in id
-order: witnesses are the lexicographically least sets in id order, and
-the γ search and the ir walk gain less from the search order than its
-set-up costs.
+With the pure-Python twin, ``_upper`` first 2-colours the graph: on a
+bipartite graph Γ = IR = α = n − ν (Cockayne, Favaron, Payan and
+Thomason, 1981; König), and a maximum matching gives ν in polynomial
+time. The compiled walk beats that matching on small graphs, so the
+compiled twin always walks. The Γ/IR walk returns values only, so ``_upper`` runs the pure-Python twin's walk of a larger graph
+on ``Graph.search_closed_adj``, the closed masks relabelled by
+descending degree, where it costs less; no value depends on the
+labelling. Every other call runs on ``closed_adj`` in id order:
+witnesses are the lexicographically least sets in id order, and the γ
+search and the ir walk gain less from the search order than its set-up
+costs.
 
 Everything here is a pure function of immutable inputs, so concurrent
 calls (including per-vertex degree computations of one graph) are safe.
@@ -68,7 +75,7 @@ from .errors import (
     VertexNotInSet,
     VertexOutOfRange,
 )
-from .graph import Graph, VertexSet, bits_of
+from .graph import Graph, VertexSet, bipartition, bits_of
 
 DEFAULT_EXACT_CAP = 24   # staged searches, profiles, Γ/ir/IR, set enumeration
 DEFAULT_SCAN_CAP = 20    # the oracle's subset scan
@@ -161,12 +168,48 @@ _WALK_CAP = min(DEFAULT_EXACT_CAP, MAX_SCAN)
 _SEARCH_ORDER_FROM = 12
 
 
+def _bipartite_alpha(g: Graph) -> int | None:
+    """α = n − ν of a bipartite ``g`` (König's theorem), or None when
+    ``g`` has an odd cycle; ν from Kuhn's augmenting paths out of one
+    side of the 2-colouring."""
+    left = bipartition(g)
+    if left is None:
+        return None
+    adj = g.open_adj
+    mate = [-1] * g.n  # mate[r]: the left vertex matched to the right vertex r
+    visited = 0
+
+    def augment(u: int) -> bool:
+        nonlocal visited
+        while free := adj[u] & ~visited:
+            low = free & -free
+            visited |= low
+            r = low.bit_length() - 1
+            if mate[r] < 0 or augment(mate[r]):
+                mate[r] = u
+                return True
+        return False
+
+    nu = 0
+    for u in bits_of(left):
+        visited = 0
+        nu += augment(u)
+    return g.n - nu
+
+
 def _upper(kern, g: Graph) -> tuple[int, int]:
-    """(Γ, IR) from one walk of irredundant sets. It returns values only,
-    so the pure-Python walk of a graph of order ``_SEARCH_ORDER_FROM`` or
+    """(Γ, IR). On a bipartite graph Γ = IR = α (Cockayne, Favaron, Payan
+    and Thomason, 1981), so the pure-Python twin takes α from a maximum
+    matching; the compiled walk beats that matching on small graphs.
+    Otherwise one walk of irredundant sets, which returns values only, so
+    the pure-Python walk of a graph of order ``_SEARCH_ORDER_FROM`` or
     more runs on ``g.search_closed_adj``, high-degree vertices first."""
-    if kern is _pykern and g.n >= _SEARCH_ORDER_FROM:
-        return kern.scan_irredundance(g.search_closed_adj)
+    if kern is _pykern:
+        alpha = _bipartite_alpha(g)
+        if alpha is not None:
+            return alpha, alpha
+        if g.n >= _SEARCH_ORDER_FROM:
+            return kern.scan_irredundance(g.search_closed_adj)
     return kern.scan_irredundance(g.closed_adj)
 
 

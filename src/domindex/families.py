@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import InternalInvariantViolation, InvalidFamilyParams
-from .graph import Graph, bits_of, new_graph
+from .graph import Graph, bipartition, new_graph
 
 
 class _Unresolved:
@@ -228,28 +228,10 @@ _HERSCHEL_EDGES = (
 )
 
 
-def _two_colorable(g: Graph) -> bool:
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in bits_of(g.open_adj[v]):
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return False
-    return True
-
-
 def _herschel(_):
     g = new_graph(11, _HERSCHEL_EDGES, [f"h{i + 1}" for i in range(11)])
     degs = sorted(g.degree(v) for v in range(11))
-    if g.m != 18 or degs != [3] * 8 + [4] * 3 or not _two_colorable(g):
+    if g.m != 18 or degs != [3] * 8 + [4] * 3 or bipartition(g) is None:
         raise InternalInvariantViolation("embedded edge list failed validation")
     return FamilyGraph(g, ("generic",) * 11)
 

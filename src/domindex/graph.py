@@ -239,6 +239,33 @@ def distances_from(g: Graph, src: int) -> list[int]:
     return dist
 
 
+def bipartition(g: Graph) -> int | None:
+    """One side of a 2-colouring of ``g`` as a mask, the even layers of a
+    BFS from the lowest vertex of each component, or None when ``g`` has
+    an odd cycle: an edge inside a BFS layer closes one."""
+    adj = g.open_adj
+    left = seen = 0
+    for root in range(g.n):
+        if seen >> root & 1:
+            continue
+        layer, even = 1 << root, True
+        seen |= layer
+        while layer:
+            nxt, rest = 0, layer
+            while rest:
+                low = rest & -rest
+                nxt |= adj[low.bit_length() - 1]
+                rest ^= low
+            if nxt & layer:
+                return None
+            if even:
+                left |= layer
+            layer = nxt & ~seen
+            seen |= layer
+            even = not even
+    return left
+
+
 def wiener_index(g: Graph) -> int:
     """Sum of shortest-path distances over unordered vertex pairs."""
     if not is_connected(g):

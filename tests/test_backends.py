@@ -26,7 +26,7 @@ from domindex import FamilySpec, _pykern, backend, generate
 from domindex.backend import backend_name, kernels_for
 from domindex.classes import enumerate_labeled_graphs, random_graph
 from domindex.engine import _gamma_lower_bound, _irredundance, _upper, is_dominating, is_irredundant
-from domindex.graph import VertexSet, distances_from, new_graph
+from domindex.graph import VertexSet, bipartition, distances_from, new_graph
 from domindex.ops import disjoint_union, product
 
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "domindex" / "_kernels.c"
@@ -147,12 +147,57 @@ def test_search_order_changes_no_value(twin, request, graph_classes_7):
 
 
 def test_search_order_only_from_order_12_in_pure_python():
-    # below order 12 the relabel costs the pure-Python Γ/IR walk more than it saves
+    # below order 12 the relabel costs the pure-Python Γ/IR walk more than it saves;
+    # the graphs have odd cycles, so no matching replaces the walk
     small, large = random_graph(11, 0.3, seed=1), random_graph(12, 0.3, seed=1)
+    assert bipartition(small) is None and bipartition(large) is None
     assert _upper(_pykern, small) == _pykern.scan_irredundance(small.closed_adj)
     assert _upper(_pykern, large) == _pykern.scan_irredundance(large.closed_adj)
     assert "search_closed_adj" not in vars(small)
     assert "search_closed_adj" in vars(large)
+
+
+def bipartite_graphs():
+    """The paper's bipartite families up to the cap, and 100 seeded random
+    bipartite graphs of orders 8-24, their sides shuffled among the ids."""
+    specs = [("path", (24,)), ("cycle", (24,)), ("kragujevac", (2, 2, 3)), ("kragujevac", (3, 4)),
+             ("kragujevac", (1,) * 7), ("kragujevac", (2, 2, 2, 2)), ("book", (4,)), ("book", (11,)),
+             ("star", (8,)), ("star", (23,)), ("multipartite", (5, 7)), ("multipartite", (12, 12)),
+             ("herschel", ())]
+    graphs = [generate(FamilySpec(kind, params)).graph for kind, params in specs]
+    rng = random.Random(3000)
+    for i in range(100):
+        n = 8 + i % 17
+        ids = rng.sample(range(n), n)
+        side, p = rng.randint(1, n - 1), rng.choice((0.15, 0.3, 0.5))
+        graphs.append(new_graph(n, [(ids[u], ids[v]) for u in range(side) for v in range(side, n)
+                                    if rng.random() < p]))
+    return graphs
+
+
+def test_bipartite_upper_equals_the_walk():
+    # Γ = IR = α = n − ν on a bipartite graph
+    for g in bipartite_graphs():
+        assert bipartition(g) is not None
+        assert _upper(_pykern, g) == _pykern.scan_irredundance(g.closed_adj), g.edges()
+
+
+def test_matching_replaces_the_walk_only_in_pure_python(compiled, monkeypatch):
+    # the pure-Python twin takes Γ and IR of a bipartite graph from a maximum
+    # matching; an odd cycle, and every graph of the compiled twin, walk
+    class Walked(Exception):
+        pass
+
+    def walk(closed):
+        raise Walked
+
+    path, c5 = (generate(FamilySpec(kind, (5,))).graph for kind in ("path", "cycle"))
+    for kern in (_pykern, compiled):
+        monkeypatch.setattr(kern, "scan_irredundance", walk)
+    assert _upper(_pykern, path) == (3, 3)
+    for kern, g in ((_pykern, c5), (compiled, path), (compiled, c5)):
+        with pytest.raises(Walked):
+            _upper(kern, g)
 
 
 def _per_vertex(kern, closed):
@@ -303,6 +348,31 @@ def test_maximal_irredundant_sets_dominate_the_square(graph_classes_7):
         far = square(g)
         for m in _irredundant_by_predicates(g)[1]:
             assert reduce(or_, (far[v] for v in range(g.n) if m >> v & 1), 0) == g.full_mask, (g.edges(), m)
+
+
+def test_maximal_irredundant_sets_meet_the_degree_bound(graph_classes_7):
+    # The lemma behind scan_ir's stop, ir(G) ≥ ⌈n / max(Δ+1, 2Δ−1)⌉. Let S be
+    # maximal irredundant. A member that is its own private vertex covers at
+    # most Δ+1 vertices, and one that another member dominates adds at most
+    # Δ. An undominated w is its own private vertex in S+w, so some member x
+    # loses every private vertex to N(w); x is of the second kind, and w lies
+    # in N(p_x) − x for a private vertex p_x of x: at most Δ−1 such w per x.
+    for g, _ in graph_classes_7:
+        delta = g.max_degree
+        bound = -(-g.n // max(delta + 1, 2 * delta - 1))
+        for m in _irredundant_by_predicates(g)[1]:
+            assert m.bit_count() >= bound, (g.edges(), m)
+
+
+def test_ir_walk_enters_no_set_on_paths_and_cycles(compiled):
+    # Δ = 2, so the degree bound ⌈n/3⌉ is already γ
+    for n in range(3, 25):
+        for kind in ("cycle", "path"):
+            closed = generate(FamilySpec(kind, (n,))).graph.closed_adj
+            gamma = -(-n // 3)
+            for kern in (_pykern, compiled):
+                assert kern.scan_ir(closed, gamma) == gamma, (kind, n)
+                assert kern.last_nodes() == 0, (kind, n)
 
 
 def test_irredundance_walk_keeps_upper_gamma_below_upper_ir(compiled):

@@ -20,7 +20,7 @@ from domindex.errors import (
     SelfLoop,
     VertexOutOfRange,
 )
-from domindex.graph import delete_edge, distances_from
+from domindex.graph import bipartition, delete_edge, distances_from
 
 
 def complete(n):
@@ -147,6 +147,18 @@ def test_distances():
     assert distances_from(g, 0) == [0, 1, 2, 3]
     h = new_graph(3, [(0, 1)])
     assert distances_from(h, 0) == [0, 1, -1]
+
+
+def test_bipartition_against_every_two_colouring(graph_classes_7):
+    # a side is returned exactly when some vertex mask leaves no edge inside
+    # either side, and then it is such a mask
+    for g, _ in graph_classes_7:
+        edges = g.edges()
+        side = bipartition(g)
+        colourable = any(all((m >> u & 1) != (m >> v & 1) for u, v in edges) for m in range(1 << g.n))
+        assert (side is not None) == colourable, edges
+        if side is not None:
+            assert all((side >> u & 1) != (side >> v & 1) for u, v in edges), edges
 
 
 def test_permute_identity_and_rotation():
