@@ -11,7 +11,8 @@
    domination of G², and stopped at a bound from γ and from the maximum
    degree). The stage walk and scan_ir test each child before
    they enter it, with one bound helper, pruned, on G and on G²;
-   last_nodes() gives the number of sets the last of these walks entered.
+   last_nodes() gives the number of sets that the last of these walks,
+   or of scan_irredundance's, entered.
    Restricted to graphs with at most 64 vertices, so every mask fits one
    machine word. Long searches and walks poll for signals, so Ctrl-C
    stops them.
@@ -55,7 +56,7 @@ typedef struct {
     size_t count, room;
 } State;
 
-static u64 entered;  /* last_nodes(): s->nodes of the last stage walk or scan_ir that returned */
+static u64 entered;  /* last_nodes(): s->nodes of the last stage walk, Γ/IR walk or scan_ir that returned */
 
 /* Reads the sequence `closed` of int masks into s->closed and sets up
    the rest of the state. 0, or -1 with an exception set when n is
@@ -417,6 +418,7 @@ scan_irredundance(PyObject *Py_UNUSED(self), PyObject *closed)
     State s;
     if (init(&s, closed, MAXSCAN, "irredundant-set walk") < 0 || irr_walk(&s, 0, 0, 0) < 0)
         return NULL;
+    entered = s.nodes;
     return Py_BuildValue("(ii)", s.upper_gamma, s.upper_ir);
 }
 
@@ -483,9 +485,10 @@ scan_ir(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
         PyErr_Format(PyExc_ValueError, "gamma must lie in 1..%d, got %d", s.n, s.lo);
         return NULL;
     }
-    /* ir >= ceil((gamma + 1) / 2), as gamma <= 2 ir - 1, and
-       ir >= ceil(n / max(delta + 1, 2 delta - 1)), the contract's degree
-       bound; delta is read only when the first leaves room below gamma */
+    /* _pykern._ir_stop: ir >= ceil((gamma + 1) / 2), as gamma <= 2 ir - 1,
+       and ir >= ceil(n / max(delta + 1, 2 delta - 1)), the contract's
+       degree bound; delta is read only when the first leaves room below
+       gamma */
     s.stop = (s.lo + 2) / 2;
     if (s.stop < s.lo) {
         int delta = 0;
@@ -522,7 +525,7 @@ static PyMethodDef methods[] = {
     {"solve_dd_all", (PyCFunction)(void (*)(void))solve_dd_all, METH_FASTCALL,
      "solve_dd_all(closed, k_lo) -> [(size, mask) or None for each vertex]"},
     {"last_nodes", last_nodes, METH_NOARGS,
-     "last_nodes() -> sets entered by the last solve_dd, solve_dd_all or scan_ir walk"},
+     "last_nodes() -> sets entered by the last solve_dd, solve_dd_all, scan_irredundance or scan_ir walk"},
     {"scan_minimal_ds", scan_minimal_ds, METH_O,
      "scan_minimal_ds(closed) -> minimal dominating sets in walk order"},
     {"scan_irredundance", scan_irredundance, METH_O,

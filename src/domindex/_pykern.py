@@ -59,9 +59,9 @@ order is fixed, so the bounds change the walk's cost, not its records:
 each is the first set of the first stage that serves the vertex.
 
 last_nodes()
-    The sets that the walk of the last solve_dd, solve_dd_all or scan_ir
-    call that returned entered, roots included (see below); both twins
-    count the same.
+    The sets that the walk of the last solve_dd, solve_dd_all,
+    scan_irredundance or scan_ir call that returned entered, roots
+    included (see below); both twins count the same.
 
 scan_minimal_ds(closed)
     Every minimal dominating set, found by a walk of irredundant sets,
@@ -102,8 +102,9 @@ later vertices dominate every uncovered vertex.
 ``scan_ir`` looks only for a maximal irredundant set smaller than lo,
 the size of the smallest one found so far:
   - lo starts at γ, as a minimum dominating set is maximal irredundant;
-  - the walk stops once lo ≤ max(⌈(γ+1)/2⌉, ⌈n / max(Δ+1, 2Δ−1)⌉),
-    which ir cannot undercut, and enters no set when that reaches γ.
+  - the walk stops once lo ≤ max(⌈(γ+1)/2⌉, ⌈n / max(Δ+1, 2Δ−1)⌉)
+    (``_ir_stop``), which ir cannot undercut, and enters no set when that
+    reaches γ.
     The first term holds as γ ≤ 2·ir − 1 (Bollobás and Cockayne,
     J. Graph Theory 1979). The degree bound, a count of the same kind:
     let S be maximal irredundant with s = |S|. A member that is its own
@@ -320,13 +321,15 @@ def scan_minimal_ds(closed):
 
 
 def scan_irredundance(closed):
+    global _nodes
     n = _scan_order(closed)
     full = (1 << n) - 1
     reach = _reach(closed, n)
-    upper_gamma = upper_ir = 0
+    upper_gamma = upper_ir = nodes = 0
 
     def rec(start, cover, privs):
-        nonlocal upper_gamma, upper_ir
+        nonlocal upper_gamma, upper_ir, nodes
+        nodes += 1
         c = len(privs)
         if c > upper_ir:
             upper_ir = c
@@ -363,7 +366,19 @@ def scan_irredundance(closed):
             room -= 1
 
     rec(0, 0, [])
+    _nodes = nodes
     return upper_gamma, upper_ir
+
+
+def _ir_stop(closed, gamma):
+    """The size at which ``scan_ir`` stops: ir ≥ ⌈(γ+1)/2⌉, as γ ≤ 2ir − 1,
+    and ir ≥ ⌈n / max(Δ+1, 2Δ−1)⌉. Δ is read only when the first leaves
+    room below γ. The walk enters no set when this reaches γ."""
+    stop = (gamma + 2) // 2
+    if stop < gamma:
+        delta = max(map(int.bit_count, closed)) - 1
+        stop = max(stop, -(-len(closed) // max(delta + 1, 2 * delta - 1)))
+    return stop
 
 
 def scan_ir(closed, gamma):
@@ -371,12 +386,7 @@ def scan_ir(closed, gamma):
     n = _scan_order(closed)
     if not 1 <= gamma <= n:
         raise ValueError(f"gamma must lie in 1..{n}, got {gamma}")
-    # ir ≥ ⌈(γ+1)/2⌉, as γ ≤ 2ir − 1, and ir ≥ ⌈n / max(Δ+1, 2Δ−1)⌉;
-    # Δ is read only when the first leaves room below γ
-    stop = (gamma + 2) // 2
-    if stop < gamma:
-        delta = max(map(int.bit_count, closed)) - 1
-        stop = max(stop, -(-n // max(delta + 1, 2 * delta - 1)))
+    stop = _ir_stop(closed, gamma)
     if stop >= gamma:
         _nodes = 0
         return gamma  # no set to enter, so no G² to build

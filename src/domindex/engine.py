@@ -5,15 +5,14 @@ Everything here is exact: predicates are direct formula evaluations;
 staged branch-and-bound walk (smallest cardinality first, so the first
 set that serves a vertex is a minimum), seeded at {v} for one vertex and
 at ∅ for γ or for every vertex at once; and the remaining quantities
-come from walks of irredundant sets. One walk gives the upper
-domination number Γ and the upper irredundance number IR, except that
-in pure Python a bipartite graph takes both from its independence
-number, as Γ = IR = α there. A walk of its own gives the irredundance
-number ir: it starts from γ, which bounds ir from above, it cuts each
-branch whose sets cannot dominate G², as every maximal irredundant set
-does, and it stops at a lower bound on ir from γ and the maximum degree.
-Only set enumeration walks them for the minimal dominating sets
-themselves.
+come from walks of irredundant sets, or, where the input allows, from
+polynomial methods (the table below). One walk gives the upper
+domination number Γ and the upper irredundance number IR. A walk of its
+own gives the irredundance number ir: it starts from γ, which bounds ir
+from above, it cuts each branch whose sets cannot dominate G², as every
+maximal irredundant set does, and it stops at a lower bound on ir from
+γ and the maximum degree. Only set enumeration walks them for the
+minimal dominating sets themselves.
 The staged walk is independently cross-checkable against
 :func:`dd_vector_oracle`, a full-subset-scan implementation of the
 definition that shares no code with the search kernels. It still tests
@@ -38,22 +37,38 @@ Each public computation is one guard and one kernel call. The guard,
 ``_kernels``, rejects an empty graph and one over the caller's cap and
 picks the twin; the walks of irredundant sets take ``_WALK_CAP``, or in
 a profile ``min(cap, MAX_SCAN)``. ``_search`` makes the calls of the
-staged search, ``_upper`` the Γ/IR walk, and ``_irredundance`` that walk
-and the ir walk. Only :func:`mds_containing_greedy` passes no cap. The
-twins return the minimal dominating sets in the order their walks reach
-them, and set enumeration sorts them by (cardinality, mask).
+staged search, ``_upper`` those for Γ and IR, and ``_irredundance``
+those and the one for ir. Only :func:`mds_containing_greedy` passes no
+cap. The twins return the minimal dominating sets in the order their
+walks reach them, and set enumeration sorts them by (cardinality, mask).
 
-With the pure-Python twin, ``_upper`` first 2-colours the graph: on a
-bipartite graph Γ = IR = α = n − ν (Cockayne, Favaron, Payan and
-Thomason, 1981; König), and a maximum matching gives ν in polynomial
-time. The compiled walk beats that matching on small graphs, so the
-compiled twin always walks. The Γ/IR walk returns values only, so ``_upper`` runs the pure-Python twin's walk of a larger graph
-on ``Graph.search_closed_adj``, the closed masks relabelled by
-descending degree, where it costs less; no value depends on the
-labelling. Every other call runs on ``closed_adj`` in id order:
-witnesses are the lexicographically least sets in id order, and the γ
-search and the ir walk gain less from the search order than its set-up
-costs.
+``_upper`` and ``_irredundance`` return values only, and one table,
+``_METHODS``, picks their method from the twin and from ``Graph.prepared``
+(the 2-colouring and whether the graph is a forest, built once per
+graph). The first row that fits gives the value:
+
+=========  ===========  ========================================  ==========================
+value      twin         condition                                 method
+=========  ===========  ========================================  ==========================
+Γ, IR      pure Python  bipartite                                 α = n − ν from a maximum
+                                                                  matching, as Γ = IR = α
+Γ, IR      pure Python  n ≥ ``_SEARCH_ORDER_FROM`` (12)           the walk on
+                                                                  ``search_closed_adj``
+Γ, IR      either       any graph                                 the walk on ``closed_adj``
+ir         pure Python  a forest, n ≥ ``_FOREST_FROM`` (12), and  the tree program of
+                        the walk's stop below γ                   ``forest``
+ir         either       any graph                                 the walk on ``closed_adj``
+=========  ===========  ========================================  ==========================
+
+Γ = IR = α on a bipartite graph (Cockayne, Favaron, Payan and
+Thomason, 1981), and α = n − ν by König's theorem. The comments on the
+two thresholds say where each method costs less; the compiled walks
+beat both Python methods on the graphs the workloads run.
+
+No value depends on the method or the labelling. Every call outside the
+table runs on ``closed_adj`` in id order: witnesses are the
+lexicographically least sets in id order, and the γ search gains less
+from the search order than its set-up costs.
 
 Everything here is a pure function of immutable inputs, so concurrent
 calls (including per-vertex degree computations of one graph) are safe.
@@ -75,7 +90,7 @@ from .errors import (
     VertexNotInSet,
     VertexOutOfRange,
 )
-from .graph import Graph, VertexSet, bipartition, bits_of
+from .graph import Graph, VertexSet, bits_of
 
 DEFAULT_EXACT_CAP = 24   # staged searches, profiles, Γ/ir/IR, set enumeration
 DEFAULT_SCAN_CAP = 20    # the oracle's subset scan
@@ -167,14 +182,17 @@ _WALK_CAP = min(DEFAULT_EXACT_CAP, MAX_SCAN)
 # reaches (timings in BENCH_26.json).
 _SEARCH_ORDER_FROM = 12
 
+# The order from which the pure-Python twin takes ir of a forest from the
+# tree program (``forest``) rather than the walk, when the walk's stop
+# leaves room below γ: below it the walk costs less on most trees. The
+# compiled walk beats the program up to about 20 vertices and keeps
+# walking (timings in BENCH_31.json).
+_FOREST_FROM = 12
 
-def _bipartite_alpha(g: Graph) -> int | None:
-    """α = n − ν of a bipartite ``g`` (König's theorem), or None when
-    ``g`` has an odd cycle; ν from Kuhn's augmenting paths out of one
-    side of the 2-colouring."""
-    left = bipartition(g)
-    if left is None:
-        return None
+
+def _bipartite_alpha(g: Graph) -> int:
+    """α = n − ν of a bipartite ``g`` (König's theorem), with ν from
+    Kuhn's augmenting paths out of one side of its 2-colouring."""
     adj = g.open_adj
     mate = [-1] * g.n  # mate[r]: the left vertex matched to the right vertex r
     visited = 0
@@ -191,35 +209,55 @@ def _bipartite_alpha(g: Graph) -> int | None:
         return False
 
     nu = 0
-    for u in bits_of(left):
+    for u in bits_of(g.prepared.left):
         visited = 0
         nu += augment(u)
     return g.n - nu
 
 
+def _tree_program(kern, g: Graph, gamma: int) -> int:
+    from . import forest  # only forests need it
+
+    return forest.ir(g)
+
+
+# The methods of each values-only computation, as rows of (twin,
+# condition, method): the first row whose twin is the caller's (None:
+# either) and whose condition on the graph and γ holds (None: always)
+# gives the value.
+_METHODS = {
+    "upper": (  # (Γ, IR)
+        (_pykern, lambda g, gamma: g.prepared.left is not None,
+         lambda kern, g, gamma: (_bipartite_alpha(g),) * 2),
+        (_pykern, lambda g, gamma: g.n >= _SEARCH_ORDER_FROM,
+         lambda kern, g, gamma: kern.scan_irredundance(g.search_closed_adj)),
+        (None, None, lambda kern, g, gamma: kern.scan_irredundance(g.closed_adj)),
+    ),
+    "ir": (
+        (_pykern, lambda g, gamma: (g.n >= _FOREST_FROM and g.prepared.forest
+                                    and _pykern._ir_stop(g.closed_adj, gamma) < gamma),
+         _tree_program),
+        (None, None, lambda kern, g, gamma: kern.scan_ir(g.closed_adj, gamma)),
+    ),
+}
+
+
+def _run(what: str, kern, g: Graph, gamma: int | None = None):
+    """``what`` of ``g`` by the method that ``_METHODS`` picks."""
+    for twin, holds, method in _METHODS[what]:
+        if (twin is None or twin is kern) and (holds is None or holds(g, gamma)):
+            return method(kern, g, gamma)
+
+
 def _upper(kern, g: Graph) -> tuple[int, int]:
-    """(Γ, IR). On a bipartite graph Γ = IR = α (Cockayne, Favaron, Payan
-    and Thomason, 1981), so the pure-Python twin takes α from a maximum
-    matching; the compiled walk beats that matching on small graphs.
-    Otherwise one walk of irredundant sets, which returns values only, so
-    the pure-Python walk of a graph of order ``_SEARCH_ORDER_FROM`` or
-    more runs on ``g.search_closed_adj``, high-degree vertices first."""
-    if kern is _pykern:
-        alpha = _bipartite_alpha(g)
-        if alpha is not None:
-            return alpha, alpha
-        if g.n >= _SEARCH_ORDER_FROM:
-            return kern.scan_irredundance(g.search_closed_adj)
-    return kern.scan_irredundance(g.closed_adj)
+    """(Γ, IR), by the method that the table picks."""
+    return _run("upper", kern, g)
 
 
 def _irredundance(kern, g: Graph, gamma: int) -> tuple[int, int, int]:
-    """(ir, Γ, IR): Γ and IR from ``_upper``, and ir from a walk of its own
-    over ``closed_adj`` in id order that starts at ``gamma``, which must be
-    γ. Only ``_upper`` uses the search order; the ir walk gains nothing
-    from it, and the witness searches must run in id order."""
+    """(ir, Γ, IR), given ``gamma`` = γ, by the methods that the table picks."""
     upper, upper_ir = _upper(kern, g)
-    return kern.scan_ir(g.closed_adj, gamma), upper, upper_ir
+    return _run("ir", kern, g, gamma), upper, upper_ir
 
 
 def domination_number(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> int:

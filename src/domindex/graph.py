@@ -9,8 +9,7 @@ labels, ids never leave the library.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DisconnectedGraph,
@@ -61,6 +60,30 @@ class VertexSet:
         return bits_of(self.bits)
 
 
+class _cached:
+    """An attribute of an immutable object, computed at its first read and
+    stored in the instance ``__dict__``, where later reads find it first.
+    As ``functools.cached_property``, without the lock that it takes at
+    every first read before Python 3.12 (about 1 µs): a race can only
+    compute the same value twice."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+class Prepared(NamedTuple):
+    """What the engine picks its methods by (``Graph.prepared``)."""
+
+    left: int | None  # one side of a 2-colouring as a mask (``bipartition``), or None
+    forest: bool      # acyclic: m = n − the number of components
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph: ``n`` vertices, open-neighborhood bitmasks."""
@@ -70,11 +93,11 @@ class Graph:
     open_adj: tuple[int, ...]
     m: int
 
-    @cached_property
+    @_cached
     def closed_adj(self) -> tuple[int, ...]:
         return tuple(self.open_adj[v] | (1 << v) for v in range(self.n))
 
-    @cached_property
+    @_cached
     def search_closed_adj(self) -> tuple[int, ...]:
         """``closed_adj`` relabelled into the search order, computed once
         per graph: vertices by descending degree, ties by ascending id.
@@ -98,16 +121,23 @@ class Graph:
             out.append(m)
         return tuple(out)
 
-    @cached_property
+    @_cached
     def max_degree(self) -> int:
         """Δ, computed once per graph; 0 for a graph with no vertices."""
         return max((a.bit_count() for a in self.open_adj), default=0)
+
+    @_cached
+    def prepared(self) -> Prepared:
+        """The 2-colouring and whether the graph is a forest, computed once
+        per graph."""
+        left, components = _two_colouring(self.open_adj)
+        return Prepared(left, left is not None and self.m == self.n - components)
 
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    @cached_property
+    @_cached
     def _label_ids(self) -> dict[str, int]:
         return {lbl: i for i, lbl in enumerate(self.labels)}
 
@@ -243,11 +273,17 @@ def bipartition(g: Graph) -> int | None:
     """One side of a 2-colouring of ``g`` as a mask, the even layers of a
     BFS from the lowest vertex of each component, or None when ``g`` has
     an odd cycle: an edge inside a BFS layer closes one."""
-    adj = g.open_adj
-    left = seen = 0
-    for root in range(g.n):
+    return g.prepared.left
+
+
+def _two_colouring(adj: tuple[int, ...]) -> tuple[int | None, int]:
+    """(``bipartition``'s side or None, the number of components), the
+    count only for a bipartite graph: the BFS stops at the first odd cycle."""
+    left = seen = components = 0
+    for root in range(len(adj)):
         if seen >> root & 1:
             continue
+        components += 1
         layer, even = 1 << root, True
         seen |= layer
         while layer:
@@ -257,13 +293,13 @@ def bipartition(g: Graph) -> int | None:
                 nxt |= adj[low.bit_length() - 1]
                 rest ^= low
             if nxt & layer:
-                return None
+                return None, components
             if even:
                 left |= layer
             layer = nxt & ~seen
             seen |= layer
             even = not even
-    return left
+    return left, components
 
 
 def wiener_index(g: Graph) -> int:

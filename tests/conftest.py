@@ -1,4 +1,8 @@
+import importlib.util
 import pathlib
+import shutil
+import subprocess
+import sysconfig
 
 import pytest
 
@@ -6,6 +10,7 @@ from domindex import FamilySpec, generate, new_graph, parse_edgelist
 from domindex.classes import _graph_classes
 
 DATA = pathlib.Path(__file__).parent / "data"
+KERNELS_C = pathlib.Path(__file__).resolve().parents[1] / "src" / "domindex" / "_kernels.c"
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -15,6 +20,29 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The compiled kernels, built from ``_kernels.c`` into a temporary
+    directory and loaded by path: neither ``src/`` nor
+    ``sys.modules["domindex._kernels"]`` is touched. Skips only without a
+    C compiler."""
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler")
+    out = tmp_path_factory.mktemp("kernels") / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    # warnings as errors: a static function or variable left unused fails here.
+    # Undefined behaviour, such as a shift by 64, traps (SIGILL) without
+    # needing the sanitizer's runtime library.
+    subprocess.run([cc, "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
+                    "-fsanitize=undefined", "-fsanitize-undefined-trap-on-error",
+                    "-I", sysconfig.get_paths()["include"], str(KERNELS_C), "-o", str(out)], check=True)
+    spec = importlib.util.spec_from_file_location("_kernels", out)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.BACKEND_NAME == "compiled"
+    return module
 
 
 @pytest.fixture(scope="session")

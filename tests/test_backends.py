@@ -1,19 +1,18 @@
 """The compiled kernels and the pure-Python twin must agree bit for bit.
 
-The compiled twin under test is built from ``src/domindex/_kernels.c``
-into a temporary directory, so these tests run whether or not the
-package's own extension was built; they skip only without a C compiler.
+The compiled twin under test is the ``compiled`` fixture of conftest,
+built from ``src/domindex/_kernels.c`` into a temporary directory, so
+these tests run whether or not the package's own extension was built;
+they skip only without a C compiler.
 """
 
-import importlib.util
+import importlib
 import os
 import pathlib
 import random
-import shutil
 import signal
 import subprocess
 import sys
-import sysconfig
 import time
 import tracemalloc
 from functools import lru_cache, reduce
@@ -22,7 +21,7 @@ from operator import or_
 
 import pytest
 
-from domindex import FamilySpec, _pykern, backend, generate
+from domindex import FamilySpec, _pykern, backend, engine, forest, generate
 from domindex.backend import backend_name, kernels_for
 from domindex.classes import enumerate_labeled_graphs, random_graph
 from domindex.engine import _gamma_lower_bound, _irredundance, _upper, is_dominating, is_irredundant
@@ -30,27 +29,6 @@ from domindex.graph import VertexSet, bipartition, distances_from, new_graph
 from domindex.ops import disjoint_union, product
 
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "domindex" / "_kernels.c"
-
-
-@pytest.fixture(scope="session")
-def compiled(tmp_path_factory):
-    """The compiled kernels, loaded by path: neither ``src/`` nor
-    ``sys.modules["domindex._kernels"]`` is touched."""
-    cc = shutil.which("cc")
-    if cc is None:
-        pytest.skip("no C compiler")
-    out = tmp_path_factory.mktemp("kernels") / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
-    # warnings as errors: a static function or variable left unused fails here.
-    # Undefined behaviour, such as a shift by 64, traps (SIGILL) without
-    # needing the sanitizer's runtime library.
-    subprocess.run([cc, "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
-                    "-fsanitize=undefined", "-fsanitize-undefined-trap-on-error",
-                    "-I", sysconfig.get_paths()["include"], str(SOURCE), "-o", str(out)], check=True)
-    spec = importlib.util.spec_from_file_location("_kernels", out)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert module.BACKEND_NAME == "compiled"
-    return module
 
 
 SCAN_MAX = 22  # the walks of irredundant sets run on the corpus graphs up to this order
@@ -121,6 +99,7 @@ def test_twins_enter_the_same_sets(compiled):
         calls.append(("solve_dd_all", (closed, 0)))
         if n <= SCAN_MAX:
             calls.append(("scan_ir", (closed, _pykern.solve_dd(closed, -1, 0, n)[0])))
+            calls.append(("scan_irredundance", (closed,)))
         for name, args in calls:
             counts = []
             for kern in (_pykern, compiled):
@@ -198,6 +177,53 @@ def test_matching_replaces_the_walk_only_in_pure_python(compiled, monkeypatch):
     for kern, g in ((_pykern, c5), (compiled, path), (compiled, c5)):
         with pytest.raises(Walked):
             _upper(kern, g)
+
+
+def test_each_method_row_runs_where_the_table_says(compiled, monkeypatch):
+    # Every method of engine._METHODS is monkeypatched to raise its name,
+    # so each call shows which row the table picked.
+    class Ran(Exception):
+        pass
+
+    def method(name):
+        def run(arg, *rest):
+            raise Ran(name, arg)
+        return run
+
+    monkeypatch.setattr(forest, "ir", method("tree program"))
+    monkeypatch.setattr(engine, "_bipartite_alpha", method("matching"))
+    for kern in (_pykern, compiled):
+        monkeypatch.setattr(kern, "scan_ir", method("walk"))
+        monkeypatch.setattr(kern, "scan_irredundance", method("walk"))
+
+    def picked(what, kern, g):
+        gamma = _pykern.solve_dd(g.closed_adj, -1, 0, g.n)[0]
+        with pytest.raises(Ran) as ran:
+            engine._run(what, kern, g, gamma)
+        name, arg = ran.value.args
+        if arg is g.closed_adj or arg is g:
+            return name
+        return name + " in search order" if arg is g.search_closed_adj else None
+
+    family = lambda kind, *params: generate(FamilySpec(kind, params)).graph
+    tree = family("kragujevac", 2, 2, 3)
+    small_tree = family("kragujevac", 2, 2)  # below the order, where ir = 4 < γ = 5
+    unicyclic = new_graph(tree.n, tree.edges() + [(0, 3)])  # closes the 4-cycle 0 1 2 3
+    path = family("path", 24)
+    odd = random_graph(12, 0.3, seed=1)
+    assert small_tree.n < engine._FOREST_FROM <= tree.n
+    assert not unicyclic.prepared.forest and unicyclic.prepared.left is not None
+    for g in (tree, small_tree, unicyclic):  # the walk's stop leaves room below γ
+        gamma = _pykern.solve_dd(g.closed_adj, -1, 0, g.n)[0]
+        assert _pykern._ir_stop(g.closed_adj, gamma) < gamma
+    assert picked("ir", _pykern, tree) == "tree program"
+    for g in (small_tree, unicyclic, path):
+        assert picked("ir", _pykern, g) == "walk", g.edges()
+    assert picked("upper", _pykern, tree) == "matching"
+    assert picked("upper", _pykern, odd) == "walk in search order"
+    assert picked("upper", _pykern, random_graph(11, 0.3, seed=1)) == "walk"
+    for g in (tree, small_tree, unicyclic, path, odd):
+        assert picked("ir", compiled, g) == picked("upper", compiled, g) == "walk", g.edges()
 
 
 def _per_vertex(kern, closed):
