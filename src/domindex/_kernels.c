@@ -7,12 +7,18 @@
    and solve_dd_all at the root ∅. Three walks of irredundant sets give
    the minimal dominating sets in the order the walk reaches them
    (scan_minimal_ds; the engine sorts them), Γ and IR
-   (scan_irredundance), and ir (scan_ir, from γ down, bounded by the
-   domination of G², and stopped at a bound from γ and from the maximum
-   degree). The stage walk and scan_ir test each child before
-   they enter it, with one bound helper, pruned, on G and on G²;
-   last_nodes() gives the number of sets that the last of these walks,
-   or of scan_irredundance's, entered.
+   (scan_irredundance), and ir (scan_ir). scan_ir starts from γ, cuts a
+   child whose sets cannot dominate G², and stops at a bound from γ and
+   from the maximum degree. It also cuts a child that may add no vertex
+   unless the G² neighbourhoods of its members that have a neighbour in
+   it cover what it leaves undominated, by the annihilator lemma: in a
+   maximal irredundant set S with |S| < γ, an undominated u leaves some
+   member x with PN(x,S) ⊆ N[u]; x is not in PN(x,S), or it would
+   dominate u, so x has a neighbour in S, and u ∈ N[p] ⊆ N²[x] for a
+   p ∈ PN(x,S) (see the kernel contract in _pykern). The stage walk and
+   scan_ir test each child before they enter it, with one bound helper,
+   pruned, on G and on G²; last_nodes() gives the number of sets that
+   the last of these walks, or of scan_irredundance's, entered.
    Restricted to graphs with at most 64 vertices, so every mask fits one
    machine word. Long searches and walks poll for signals, so Ctrl-C
    stops them.
@@ -425,11 +431,18 @@ scan_irredundance(PyObject *Py_UNUSED(self), PyObject *closed)
 /* 0, or -1 with an exception set. Looks for a maximal irredundant set
    smaller than s->lo, as in _pykern: the set of `depth` members, which
    passed the bounds, covers `cover` in G and `far` in G², and may add
-   vertices from `start` up. A maximal irredundant set dominates G², so
-   a child is cut when its later vertices cannot cover the rest of G²
-   within lo - 1 members. */
+   vertices from `start` up; `alone` holds its members with no neighbour
+   in it, and `near` the G² cover of the others. A maximal irredundant set
+   dominates G², so a child is cut when its later vertices cannot cover
+   the rest of G² within lo - 1 members. A child that can add no vertex
+   has lo - 1 < γ members, so it is maximal only if near covers what it
+   leaves undominated, and is cut otherwise. That is the annihilator
+   lemma: if S is maximal irredundant and u is undominated, u is its own
+   private vertex in S+u, so some member x has PN(x,S) ⊆ N[u]; x has a
+   neighbour in S, or x ∈ PN(x,S) would dominate u; so u ∈ N[p] ⊆ N²[x]
+   for a p ∈ PN(x,S). */
 static int
-ir_walk(State *s, int depth, int start, u64 cover, u64 far)
+ir_walk(State *s, int depth, int start, u64 cover, u64 far, u64 alone, u64 near)
 {
     if (poll(s) < 0)
         return -1;
@@ -450,8 +463,19 @@ ir_walk(State *s, int depth, int start, u64 cover, u64 far)
                               || (POPCOUNT(rest) > slots
                                   && pruned(s->square, x + 1, rest, slots))))
                 continue;
+            /* the child's members with no neighbour in it, and the G²
+               cover of the others: a member next to x is no longer alone */
+            u64 kid_alone = alone | 1ULL << x, kid_near = near;
+            if (cover >> x & 1) {
+                kid_alone = alone & ~cx;
+                kid_near |= s->square[x];
+                for (u64 woken = alone & cx; woken != 0; woken &= woken - 1)
+                    kid_near |= s->square[CTZ(woken)];
+            }
+            if (slots == 0 && (unc & ~cx & ~kid_near) != 0)
+                continue;  /* the annihilator cut */
             keep(s, depth, x, unc);
-            if (ir_walk(s, depth + 1, x + 1, cover | cx, far | s->square[x]) < 0)
+            if (ir_walk(s, depth + 1, x + 1, cover | cx, far | s->square[x], kid_alone, kid_near) < 0)
                 return -1;
             slots = s->lo - 2 - depth;
             if (s->lo <= s->stop || slots < 0)
@@ -506,7 +530,7 @@ scan_ir(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
                 s.square[v] |= s.closed[CTZ(rest)];
             s.reach[v] = s.reach[v + 1] | s.square[v];
         }
-        if (!pruned(s.square, 0, s.full, s.lo - 1) && ir_walk(&s, 0, 0, 0, 0) < 0)
+        if (!pruned(s.square, 0, s.full, s.lo - 1) && ir_walk(&s, 0, 0, 0, 0, 0, 0) < 0)
             return NULL;
     }
     entered = s.nodes;

@@ -125,10 +125,28 @@ the size of the smallest one found so far:
     within its budget, by the stage walk's bounds (``_cut``) on the
     closed neighbourhoods of G²; they prune only branches that no such
     set of vertices completes;
+  - the annihilator cut, on a child that may add no more vertices, so
+    that it has lo − 1 < γ members. Let S be maximal irredundant with
+    |S| < γ, so S does not dominate, and let u be undominated. u is its
+    own private vertex in S+u, so, S being maximal, some member x has
+    PN(x,S) ⊆ N[u]. Had x no neighbour in S, x ∈ PN(x,S) ⊆ N[u] would
+    dominate u; so x has one, and u ∈ N[p] ⊆ N²[x] for some
+    p ∈ PN(x,S). So such a child is entered only when the G²
+    neighbourhoods of its members that have a neighbour in it cover
+    every vertex it leaves undominated. The walk passes down the members
+    with no neighbour in the set and the G² cover of the others; a
+    member leaves the first for the second when a later member is
+    adjacent to it;
   - a set that no vertex, higher or lower, extends is maximal, and lo
     falls to its size.
 Both twins test each child of the stage walk and of ``scan_ir`` against
 the bounds before entering it, and the root once per stage or walk.
+This twin builds a child's list of private territories only to enter
+it: it tests whether a vertex takes a member's last private vertex
+member by member, stopping at the first, tests the room bound of a
+child of ``scan_irredundance`` at the parent, and tests the maximality
+of a ``scan_ir`` child that may add no vertex in the parent's loop. The
+walks enter the same sets as the compiled twin's.
 Memory is O(n^2) words plus the output.
 
 Every function raises ValueError for a graph with no vertices, the walks
@@ -239,7 +257,7 @@ def _walk(closed, v, wild, k_lo, k_hi):
     # privs: the private territory of each chosen vertex, in the order
     # chosen. Each level gets its own list, so backtracking undoes nothing.
     # rec extends a set that passed the bounds, and tests each child
-    # before it builds the child's list or descends.
+    # before it descends; only a child it enters gets a list.
     def rec(start, uncovered, mask, privs):
         nonlocal nodes
         nodes += 1
@@ -255,17 +273,19 @@ def _walk(closed, v, wild, k_lo, k_hi):
             # no set below the child that serves an open vertex
             if unc and (not slots or unc & ~reach[x + 1] or not (held or todo >> x)):
                 continue
-            kept = [p & ~cx for p in privs]
-            if 0 in kept:
-                continue  # x would take a member's last private vertex
-            if not unc:
-                serve(mask | 1 << x)
-            elif unc.bit_count() <= slots or not _cut(closed, x + 1, unc, slots):
-                kept.append(gain)
-                rec(x + 1, unc, mask | 1 << x, kept)
-            if not todo:
-                return
-            held &= todo
+            for p in privs:
+                if not p & ~cx:
+                    break  # x would take a member's last private vertex
+            else:
+                if not unc:
+                    serve(mask | 1 << x)
+                elif unc.bit_count() <= slots or not _cut(closed, x + 1, unc, slots):
+                    kept = [p & ~cx for p in privs]
+                    kept.append(gain)
+                    rec(x + 1, unc, mask | 1 << x, kept)
+                if not todo:
+                    return
+                held &= todo
 
     for k in range(max(k_lo, 1), k_hi + 1):
         if not unc:
@@ -323,49 +343,54 @@ def scan_minimal_ds(closed):
 def scan_irredundance(closed):
     global _nodes
     n = _scan_order(closed)
-    full = (1 << n) - 1
     reach = _reach(closed, n)
-    upper_gamma = upper_ir = nodes = 0
+    upper_gamma = upper_ir = 0
+    nodes = 1  # the root, which no bound cuts: it has n vertices to add
 
-    def rec(start, cover, privs):
+    # rec extends a set that leaves unc uncovered and passed the bounds.
+    # It enters each child itself: it counts the child, tests the child's
+    # bounds, and builds the child's territory list only to descend.
+    def rec(start, unc, privs):
         nonlocal upper_gamma, upper_ir, nodes
-        nodes += 1
-        c = len(privs)
-        if c > upper_ir:
-            upper_ir = c
-        if cover == full:
-            # a dominating irredundant set is minimal dominating
-            if c > upper_gamma:
-                upper_gamma = c
-            return
-        # members added below take disjoint private territories from the
-        # uncovered vertices that later ones reach
-        unc = full & ~cover
-        r = unc & reach[start]
-        room = c + r.bit_count()
-        if room <= upper_ir and (r != unc or room <= upper_gamma):
-            return
         kids = []
         for x in range(start, n):
             cx = closed[x]
-            gain = cx & unc
-            if not gain:
-                continue
-            kept = [p & ~cx for p in privs]
-            if 0 in kept:
-                continue
-            kept.append(gain)
-            kids.append((x, cx, kept))
+            if cx & unc:
+                for p in privs:
+                    if not p & ~cx:
+                        break
+                else:
+                    kids.append(x)
         # a descendant of the child by kids[i] adds only kids[i:], so it has
         # at most `room` members, and it dominates only if they reach unc
+        c = len(privs)
         room = c + len(kids)
-        for x, cx, kept in kids:
+        for x in kids:
             if room <= upper_ir and (room <= upper_gamma or unc & ~reach[x]):
                 break
-            rec(x + 1, cover | cx, kept)
             room -= 1
+            nodes += 1
+            if c >= upper_ir:
+                upper_ir = c + 1
+            cx = closed[x]
+            gain = cx & unc
+            rest = unc ^ gain
+            if not rest:
+                # a dominating irredundant set is minimal dominating
+                if c >= upper_gamma:
+                    upper_gamma = c + 1
+                continue
+            # members added below take disjoint private territories from
+            # the uncovered vertices that later ones reach
+            r = rest & reach[x + 1]
+            most = c + 1 + r.bit_count()
+            if most <= upper_ir and (r != rest or most <= upper_gamma):
+                continue
+            kept = [p & ~cx for p in privs]
+            kept.append(gain)
+            rec(x + 1, rest, kept)
 
-    rec(0, 0, [])
+    rec(0, (1 << n) - 1, [])
     _nodes = nodes
     return upper_gamma, upper_ir
 
@@ -403,24 +428,27 @@ def scan_ir(closed, gamma):
     lo = gamma
     nodes = 0
 
-    # cover and far: what the set dominates in G and in G²
-    def rec(start, cover, far, privs):
+    # cover and far: what the set dominates in G and in G²; alone: its
+    # members with no neighbour in it; near: the G² cover of the others.
+    # rec enters only sets that may add a vertex (the root may add
+    # lo − 1 ≥ 2), so it tests only the lower vertices for maximality; a
+    # child that may add none is tested in the loop, with no call.
+    def rec(start, cover, far, alone, near, privs):
         nonlocal lo, nodes
         nodes += 1
         c = len(privs)
         unc = full & ~cover
         slots = lo - 2 - c  # left to a child, which stays below lo
-        others = closed  # when no child stays below lo, all are tested
-        if slots >= 0:
-            maximal = True
-            for x in range(start, n):
-                cx = closed[x]
-                gain = cx & unc
-                if not gain:
-                    continue
-                kept = [p & ~cx for p in privs]
-                if 0 in kept:
-                    continue
+        maximal = True
+        for x in range(start, n):
+            cx = closed[x]
+            gain = cx & unc
+            if not gain:
+                continue
+            for p in privs:
+                if not p & ~cx:
+                    break
+            else:
                 maximal = False  # x extends the set
                 # no slot left, a vertex far from the child with no later
                 # G²-dominator, or the bounds of the stage walk in G²
@@ -428,22 +456,53 @@ def scan_ir(closed, gamma):
                 if rest and (not slots or rest & ~reach[x + 1]
                              or rest.bit_count() > slots and _cut(square, x + 1, rest, slots)):
                     continue
+                # the child's members with no neighbour in it, and the G²
+                # cover of the others: a member next to x is no longer alone
+                kid_alone, kid_near = alone | 1 << x, near
+                if cover >> x & 1:
+                    woken = alone & cx
+                    kid_alone = alone ^ woken
+                    kid_near |= square[x]
+                    while woken:
+                        low = woken & -woken
+                        kid_near |= square[low.bit_length() - 1]
+                        woken ^= low
+                if slots:
+                    kept = [p & ~cx for p in privs]
+                    kept.append(gain)
+                    rec(x + 1, cover | cx, far | square[x], kid_alone, kid_near, kept)
+                    slots = lo - 2 - c
+                    if lo <= stop or slots < 0:
+                        return
+                    continue
+                # the child can add no vertex. It is maximal irredundant
+                # only if near covers what it leaves undominated (the
+                # annihilator cut) and no vertex, lower or later, keeps it
+                # irredundant; then lo falls to its size.
+                left = unc ^ gain
+                if left & ~kid_near:
+                    continue
+                nodes += 1
+                kept = [p & ~cx for p in privs]
                 kept.append(gain)
-                rec(x + 1, cover | cx, far | square[x], kept)
-                slots = lo - 2 - c
-                if lo <= stop or slots < 0:
+                for cy in closed:
+                    if cy & left:
+                        for p in kept:
+                            if not p & ~cy:
+                                break
+                        else:
+                            break  # this vertex extends the child
+                else:
+                    lo = c + 1
                     return
-            if not maximal:
-                return
-            others = closed[:start]
-        # maximal unless another vertex (a lower one, when no later vertex
-        # extends the set) keeps it irredundant
-        for cx in others:
-            if cx & unc and all(p & ~cx for p in privs):
-                return
-        lo = c
+        if maximal:
+            # maximal unless a lower vertex keeps it irredundant
+            for cy in closed[:start]:
+                if cy & unc and all(p & ~cy for p in privs):
+                    return
+            lo = c
 
     if not _cut(square, 0, full, lo - 1):
-        rec(0, 0, 0, [])
+        rec(0, 0, 0, 0, 0, [])
     _nodes = nodes
     return lo

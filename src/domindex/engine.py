@@ -11,8 +11,14 @@ domination number Γ and the upper irredundance number IR. A walk of its
 own gives the irredundance number ir: it starts from γ, which bounds ir
 from above, it cuts each branch whose sets cannot dominate G², as every
 maximal irredundant set does, and it stops at a lower bound on ir from
-γ and the maximum degree. Only set enumeration walks them for the
-minimal dominating sets themselves.
+γ and the maximum degree. It also enters a set that may grow no further
+only when each vertex the set leaves undominated lies within distance 2
+of a member with a neighbour in the set. That holds in every maximal
+irredundant set S smaller than γ: an undominated u is its own private
+vertex in S+u, so some member x has PN(x,S) ⊆ N[u]; x has a neighbour
+in S, as x ∈ PN(x,S) would dominate u; and u ∈ N[p] for a p ∈ PN(x,S),
+a neighbour of x. Only set enumeration walks them for the minimal
+dominating sets themselves.
 The staged walk is independently cross-checkable against
 :func:`dd_vector_oracle`, a full-subset-scan implementation of the
 definition that shares no code with the search kernels. It still tests

@@ -21,7 +21,7 @@ from operator import or_
 
 import pytest
 
-from domindex import FamilySpec, _pykern, backend, engine, forest, generate
+from domindex import FamilySpec, _pykern, backend, engine, forest, generate, parse_edgelist
 from domindex.backend import backend_name, kernels_for
 from domindex.classes import enumerate_labeled_graphs, random_graph
 from domindex.engine import _gamma_lower_bound, _irredundance, _upper, is_dominating, is_irredundant
@@ -29,6 +29,7 @@ from domindex.graph import VertexSet, bipartition, distances_from, new_graph
 from domindex.ops import disjoint_union, product
 
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "domindex" / "_kernels.c"
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 SCAN_MAX = 22  # the walks of irredundant sets run on the corpus graphs up to this order
@@ -376,6 +377,29 @@ def test_maximal_irredundant_sets_dominate_the_square(graph_classes_7):
             assert reduce(or_, (far[v] for v in range(g.n) if m >> v & 1), 0) == g.full_mask, (g.edges(), m)
 
 
+def test_maximal_irredundant_sets_below_gamma_have_annihilators(graph_classes_7):
+    # The lemma behind scan_ir's annihilator cut. Let S be maximal
+    # irredundant with |S| < γ, so S does not dominate, and let u be
+    # undominated. u is its own private vertex in S+u, so some member x has
+    # PN(x, S) ⊆ N[u]. Had x no neighbour in S, x ∈ PN(x, S) ⊆ N[u] would
+    # dominate u; so x has one, and u ∈ N[p] ⊆ N²[x] for a p ∈ PN(x, S).
+    # Only two classes with n ≤ 7 have such sets; kragujevac:2,2 (ir = 4 <
+    # γ = 5) adds more.
+    below = 0
+    for g in [g for g, _ in graph_classes_7] + [generate(FamilySpec("kragujevac", (2, 2))).graph]:
+        far = square(g)
+        _, maximal, dominating = _irredundant_by_predicates(g)
+        gamma = min(m.bit_count() for m in dominating)
+        for m in maximal:
+            if m.bit_count() < gamma:
+                members = [v for v in range(g.n) if m >> v & 1]
+                cover = reduce(or_, (g.closed_adj[v] for v in members))
+                near = reduce(or_, (far[v] for v in members if g.open_adj[v] & m), 0)
+                assert not g.full_mask & ~(cover | near), (g.edges(), m)
+                below += 1
+    assert below > 2
+
+
 def test_maximal_irredundant_sets_meet_the_degree_bound(graph_classes_7):
     # The lemma behind scan_ir's stop, ir(G) ≥ ⌈n / max(Δ+1, 2Δ−1)⌉. Let S be
     # maximal irredundant. A member that is its own private vertex covers at
@@ -399,6 +423,33 @@ def test_ir_walk_enters_no_set_on_paths_and_cycles(compiled):
             for kern in (_pykern, compiled):
                 assert kern.scan_ir(closed, gamma) == gamma, (kind, n)
                 assert kern.last_nodes() == 0, (kind, n)
+
+
+# Fixed sparse graphs on which the ir walk enters hundreds of sets: file ->
+# (ceiling on scan_ir's sets, scan_irredundance's sets). With the
+# annihilator cut scan_ir enters 425, 419 and 374 sets, and the ceilings
+# give 20% headroom; without the cut it entered 867, 1,032 and 892.
+EFFORT = {
+    "sparse16.edges": (510, 135),
+    "sparse17.edges": (503, 522),
+    "sparse18.edges": (449, 157),
+}
+
+
+def test_walk_effort_on_fixed_sparse_graphs(compiled):
+    # A cut that prunes less returns the same values, so only the count of
+    # sets entered shows that it was lost or weakened.
+    for name, (ceiling, upper_sets) in EFFORT.items():
+        g = parse_edgelist((DATA / "effort" / name).read_text())
+        gamma = _pykern.solve_dd(g.closed_adj, -1, 0, g.n)[0]
+        counts = []
+        for kern in (_pykern, compiled):
+            kern.scan_ir(g.closed_adj, gamma)
+            ir_sets = kern.last_nodes()
+            kern.scan_irredundance(g.closed_adj)
+            counts.append((ir_sets, kern.last_nodes()))
+        assert counts[0] == counts[1], (name, counts)
+        assert counts[0][0] <= ceiling and counts[0][1] == upper_sets, (name, counts)
 
 
 def test_irredundance_walk_keeps_upper_gamma_below_upper_ir(compiled):
