@@ -17,9 +17,12 @@ warning it raised (a duplicate edge in the input) as one
 closed the pipe, stdout is pointed at ``os.devnull``, no traceback is
 printed and the exit code is 1.
 
-A call whose first argument names a subcommand builds the parser of
-that subcommand only; ``-h``, a missing or an unknown subcommand builds
-all of them. ``verify`` and ``ops`` are imported only by the
+A call whose first argument names a subcommand parses the rest with one
+flat parser that holds that subcommand's flags only: one
+``ArgumentParser`` per call instead of a top-level parser and its
+subparser, with the same exit code, stdout and stderr. ``-h``, a
+missing or an unknown subcommand builds the top-level parser with all
+seven subparsers. ``verify`` and ``ops`` are imported only by the
 subcommands that run them.
 """
 
@@ -257,20 +260,33 @@ _COMMANDS = {
 }
 
 
-def _build_parser(names) -> _Parser:
-    """The top-level parser with the subparsers of ``names``, in table order."""
+def _build_parser() -> _Parser:
+    """The top-level parser with a subparser for each subcommand, in table order."""
     p = _Parser(prog="domindex", description="Exact domination degree and index toolkit")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in names:
-        command = _COMMANDS[name]
+    for name, command in _COMMANDS.items():
         command.add_arguments(sub.add_parser(name, help=command.help))
     return p
 
 
+def _parse_command(name: str, argv: list[str]) -> argparse.Namespace:
+    """What ``_build_parser()`` makes of ``[name, *argv]``, from one flat parser."""
+    p = _Parser(prog=f"domindex {name}")
+    _COMMANDS[name].add_arguments(p)
+    args, extra = p.parse_known_args(argv)
+    if extra:
+        # the line the top-level parser prints for what its subparser left
+        p.exit(USAGE_ERROR, f"domindex: error: unrecognized arguments: {' '.join(extra)}\n")
+    args.command = name
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
-    args = _build_parser(names).parse_args(argv)
+    if argv and argv[0] in _COMMANDS:
+        args = _parse_command(argv[0], argv[1:])
+    else:
+        args = _build_parser().parse_args(argv)
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

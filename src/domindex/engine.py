@@ -183,14 +183,20 @@ _WALK_CAP = min(DEFAULT_EXACT_CAP, MAX_SCAN)
 
 # The order from which the pure-Python Γ/IR walk runs in the search
 # order. Below it the relabel, 1-2 µs of Python per vertex, costs more
-# than the walk saves. The compiled walk always runs in id order: it
+# than the walk saves. Measured again after the walk speedups of
+# BENCH_32.json, over non-bipartite random graphs, the saving overtakes
+# the relabel on average from order 13 and on most graphs from 14
+# (BENCH_33.json ``thresholds``); 12 stays until a change to it is
+# measured end to end. The compiled walk always runs in id order: it
 # saves less than the relabel costs below 22 vertices, which no workload
 # reaches (timings in BENCH_26.json).
 _SEARCH_ORDER_FROM = 12
 
 # The order from which the pure-Python twin takes ir of a forest from the
 # tree program (``forest``) rather than the walk, when the walk's stop
-# leaves room below γ: below it the walk costs less on most trees. The
+# leaves room below γ: below it the walk costs less on most trees (the
+# program wins on 7 of 20 trees at order 11 and 13 of 20 at 12, measured
+# again after the walk speedups; BENCH_33.json ``thresholds``). The
 # compiled walk beats the program up to about 20 vertices and keeps
 # walking (timings in BENCH_31.json).
 _FOREST_FROM = 12

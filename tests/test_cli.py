@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -396,6 +397,9 @@ _MALFORMED_ARGV = [
     ["analyze", "--bogus"], ["generate", "cycle:5", "--max-exact", "3"],  # an unknown flag
     ["analyze", "--max-exact", "x"], ["degree", "--vertex", "a2", "--max-exact", "2.5"],
     ["facility", "--hub", "a2", "--max-exact", ""],  # a cap that is not an integer
+    ["analyze", "--in", F9, "--", "x"], ["generate", "--", "petersen"],  # "--" ends the flags
+    ["analyze", "--in", F9, "--form", "text"],  # an abbreviated flag
+    ["generate", "petersen", "extra"], ["analyze", "-h", "--bogus"],
 ]
 
 
@@ -408,11 +412,20 @@ def test_one_subcommand_parser_acts_as_the_full_parser(argv, monkeypatch):
     from domindex import cli
 
     built = []
-    build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda names: built.append(list(names)) or build(names))
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     got = _outcome(argv)
-    assert built == [argv[:1] if argv and argv[0] in cli._COMMANDS else list(cli._COMMANDS)]
-    monkeypatch.setattr(cli, "_build_parser", lambda names: build(cli._COMMANDS))
+    if argv and argv[0] in cli._COMMANDS:
+        assert built == [f"domindex {argv[0]}"]
+    else:
+        assert built == ["domindex"] + [f"domindex {name}" for name in cli._COMMANDS]
+    monkeypatch.setattr(cli, "_parse_command",
+                        lambda name, rest: cli._build_parser().parse_args([name, *rest]))
     assert got == _outcome(argv)
 
 
