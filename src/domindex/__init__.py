@@ -30,8 +30,6 @@ from .engine import (
     private_neighborhood,
     upper_domination_number,
 )
-from .families import FamilySpec, UNRESOLVED, format_family, generate, parse_family
-from .formats import emit_dot, emit_edgelist, emit_report_json, parse_edgelist
 from .graph import (
     Graph,
     VertexSet,
@@ -95,11 +93,23 @@ __all__ = [
     "__version__",
 ]
 
-# Served on first use (PEP 562), so that importing the package, or the
-# CLI for a subcommand that needs none of them, loads no ``ops``,
-# ``classes`` or ``verify``. The three submodules are served too, so
-# ``import domindex`` is enough to reach ``domindex.verify``.
+# Served on first use (PEP 562), so that ``import domindex`` loads only
+# the engine (``graph``, ``errors``, ``backend``, ``_pykern`` and
+# ``engine``), and the CLI only what its subcommand runs: no
+# ``families``, ``formats``, ``ops``, ``classes`` or ``verify``, nor what
+# they import, such as ``verify``'s ``json`` and ``dataclasses``. The
+# five submodules are served too, so ``import domindex`` is enough to
+# reach ``domindex.verify``.
 _LAZY = {
+    "FamilySpec": "families",
+    "UNRESOLVED": "families",
+    "format_family": "families",
+    "generate": "families",
+    "parse_family": "families",
+    "emit_dot": "formats",
+    "emit_edgelist": "formats",
+    "emit_report_json": "formats",
+    "parse_edgelist": "formats",
     "corona": "ops",
     "disjoint_union": "ops",
     "join": "ops",

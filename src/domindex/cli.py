@@ -22,14 +22,16 @@ flat parser that holds that subcommand's flags only: one
 ``ArgumentParser`` per call instead of a top-level parser and its
 subparser, with the same exit code, stdout and stderr. ``-h``, a
 missing or an unknown subcommand builds the top-level parser with all
-seven subparsers. ``verify`` and ``ops`` are imported only by the
-subcommands that run them.
+seven subparsers. Each subcommand imports only what it runs: every one
+loads the engine and ``formats``; ``generate`` alone loads
+``families``, ``op`` alone ``ops`` and ``verify`` alone ``verify`` (with
+``classes``, ``families`` and ``ops``), and ``json`` is loaded only to
+write JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
@@ -45,7 +47,6 @@ from .errors import (
     UnreadableInput,
     UnsupportedOperation,
 )
-from .families import generate, parse_family
 from .graph import Graph, VertexSet
 
 USAGE_ERROR, VIOLATION, PARSE_ERROR, CAP_ERROR, INTERNAL_ERROR = 1, 2, 3, 4, 5
@@ -117,6 +118,8 @@ def _witness(args, label: str) -> tuple[Graph, int, VertexSet]:
 def _render_set(args, g: Graph, s: VertexSet, text: str, payload: dict) -> str:
     """``text``, ``payload`` as one JSON line, or ``g`` drawn with ``s`` filled."""
     if args.format == "json":
+        import json
+
         return json.dumps(payload) + "\n"
     if args.format == "dot":
         return formats.emit_dot(g, s)
@@ -147,6 +150,8 @@ def _args_generate(sp):
 
 
 def _cmd_generate(args) -> tuple[str, int]:
+    from .families import generate, parse_family
+
     return _emit_graph(args, generate(parse_family(args.family)).graph), 0
 
 

@@ -63,13 +63,17 @@ value      twin         condition                                 method
 Γ, IR      either       any graph                                 the walk on ``closed_adj``
 ir         pure Python  a forest, n ≥ ``_FOREST_FROM`` (12), and  the tree program of
                         the walk's stop below γ                   ``forest``
+ir         pure Python  n ≥ ``_SEARCH_ORDER_FROM``, not           the walk on
+                        bipartite                                 ``search_closed_adj``
 ir         either       any graph                                 the walk on ``closed_adj``
 =========  ===========  ========================================  ==========================
 
 Γ = IR = α on a bipartite graph (Cockayne, Favaron, Payan and
 Thomason, 1981), and α = n − ν by König's theorem. The comments on the
 two thresholds say where each method costs less; the compiled walks
-beat both Python methods on the graphs the workloads run.
+beat both Python methods on the graphs the workloads run. The pure-Python
+ir walk runs in the search order on just the graphs whose Γ/IR walk
+already built it, so it adds no relabel of its own.
 
 No value depends on the method or the labelling. Every call outside the
 table runs on ``closed_adj`` in id order: witnesses are the
@@ -82,9 +86,8 @@ calls (including per-vertex degree computations of one graph) are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import _pykern
 from ._pykern import MAX_SCAN
@@ -182,14 +185,15 @@ def _search(kern, g: Graph, v: int, k_lo: int) -> tuple[int, int]:
 _WALK_CAP = min(DEFAULT_EXACT_CAP, MAX_SCAN)
 
 # The order from which the pure-Python Γ/IR walk runs in the search
-# order. Below it the relabel, 1-2 µs of Python per vertex, costs more
-# than the walk saves. Measured again after the walk speedups of
-# BENCH_32.json, over non-bipartite random graphs, the saving overtakes
-# the relabel on average from order 13 and on most graphs from 14
-# (BENCH_33.json ``thresholds``); 12 stays until a change to it is
-# measured end to end. The compiled walk always runs in id order: it
-# saves less than the relabel costs below 22 vertices, which no workload
-# reaches (timings in BENCH_26.json).
+# order, and so does the ir walk on a graph that is not bipartite, whose
+# Γ/IR walk has built that order. Below it the relabel, 1-2 µs of Python
+# per vertex, costs more than the walk saves. Measured again after the
+# walk speedups of BENCH_32.json, over non-bipartite random graphs, the
+# saving overtakes the relabel on average from order 13 and on most
+# graphs from 14 (BENCH_33.json ``thresholds``); 12 stays until a change
+# to it is measured end to end. The compiled walk always runs in id
+# order: it saves less than the relabel costs below 22 vertices, which
+# no workload reaches (timings in BENCH_26.json).
 _SEARCH_ORDER_FROM = 12
 
 # The order from which the pure-Python twin takes ir of a forest from the
@@ -249,6 +253,8 @@ _METHODS = {
         (_pykern, lambda g, gamma: (g.n >= _FOREST_FROM and g.prepared.forest
                                     and _pykern._ir_stop(g.closed_adj, gamma) < gamma),
          _tree_program),
+        (_pykern, lambda g, gamma: g.n >= _SEARCH_ORDER_FROM and g.prepared.left is None,
+         lambda kern, g, gamma: kern.scan_ir(g.search_closed_adj, gamma)),
         (None, None, lambda kern, g, gamma: kern.scan_ir(g.closed_adj, gamma)),
     ),
 }
@@ -338,8 +344,7 @@ def domination_degrees(
     return min(degrees), degrees, [VertexSet(g.n, mask) for _, mask in hits]
 
 
-@dataclass(frozen=True)
-class DominationProfile:
+class DominationProfile(NamedTuple):
     """All domination quantities of one graph."""
 
     degrees: tuple[int, ...]

@@ -10,12 +10,11 @@ published value, contested or not, is stated once in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
 from .errors import InternalInvariantViolation, InvalidFamilyParams
-from .graph import Graph, bipartition, new_graph
+from .graph import Graph, _Record, _set, bipartition, new_graph
 
 
 class _Unresolved:
@@ -28,12 +27,15 @@ class _Unresolved:
 UNRESOLVED = _Unresolved()
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Record):
+    _fields = ("kind", "params")
+    __slots__ = _fields
     kind: str
-    params: tuple[int, ...] = ()
+    params: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, kind: str, params: tuple[int, ...] = ()):
+        _set(self, "kind", kind)
+        _set(self, "params", params)
         validate_family(self)
 
 

@@ -13,7 +13,6 @@ appearance and are never serialized, so emitted files diff cleanly.
 
 from __future__ import annotations
 
-import json
 import warnings
 
 from .errors import DuplicateEdgeWarning, MalformedLine, SelfLoop
@@ -116,6 +115,8 @@ def build_report(g: Graph, profile) -> dict:
 
 
 def emit_report_json(report: dict) -> str:
+    import json  # here: the CLI loads this module for every subcommand
+
     return json.dumps(report, indent=2) + "\n"
 
 

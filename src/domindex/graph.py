@@ -8,7 +8,7 @@ labels, ids never leave the library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -36,16 +36,57 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class VertexSet:
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of an immutable record, as a frozen dataclass without the
+    import of ``dataclasses``: ``__init__`` sets each of ``_fields`` once,
+    through ``_set``, and the fields alone give equality, the hash and
+    the repr. Copying and unpickling call the constructor again."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()  # two or more names
+    _key: tuple  # the fields' values, in order
+
+    def __init_subclass__(cls):
+        cls._key = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key
+
+
+class VertexSet(_Record):
     """Subset of the vertices of a graph of order ``n``, held as a bitmask."""
 
+    _fields = ("n", "bits")
+    __slots__ = _fields
     n: int
     bits: int
 
-    def __post_init__(self):
-        if self.bits < 0 or self.bits >> self.n:
-            raise VertexOutOfRange(f"set contains vertices outside 0..{self.n - 1}")
+    def __init__(self, n: int, bits: int):
+        if bits < 0 or bits >> n:
+            raise VertexOutOfRange(f"set contains vertices outside 0..{n - 1}")
+        _set(self, "n", n)
+        _set(self, "bits", bits)
 
     def members(self) -> tuple[int, ...]:
         return tuple(bits_of(self.bits))
@@ -84,14 +125,19 @@ class Prepared(NamedTuple):
     forest: bool      # acyclic: m = n − the number of components
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph: ``n`` vertices, open-neighborhood bitmasks."""
+class Graph(_Record):
+    """Simple undirected graph: ``n`` vertices, open-neighborhood bitmasks.
+    The ``_cached`` attributes live in the instance ``__dict__`` beside
+    the fields, and take no part in equality or the hash."""
 
+    _fields = ("n", "labels", "open_adj", "m")
     n: int
     labels: tuple[str, ...]
     open_adj: tuple[int, ...]
     m: int
+
+    def __init__(self, n: int, labels: tuple[str, ...], open_adj: tuple[int, ...], m: int):
+        self.__dict__.update(n=n, labels=labels, open_adj=open_adj, m=m)
 
     @_cached
     def closed_adj(self) -> tuple[int, ...]:

@@ -221,8 +221,10 @@ def test_each_method_row_runs_where_the_table_says(compiled, monkeypatch):
     for g in (small_tree, unicyclic, path):
         assert picked("ir", _pykern, g) == "walk", g.edges()
     assert picked("upper", _pykern, tree) == "matching"
-    assert picked("upper", _pykern, odd) == "walk in search order"
-    assert picked("upper", _pykern, random_graph(11, 0.3, seed=1)) == "walk"
+    assert picked("upper", _pykern, odd) == picked("ir", _pykern, odd) == "walk in search order"
+    small_odd = random_graph(11, 0.3, seed=1)
+    assert small_odd.prepared.left is None
+    assert picked("upper", _pykern, small_odd) == picked("ir", _pykern, small_odd) == "walk"
     for g in (tree, small_tree, unicyclic, path, odd):
         assert picked("ir", compiled, g) == picked("upper", compiled, g) == "walk", g.edges()
 

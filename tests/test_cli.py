@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
@@ -427,6 +428,35 @@ def test_one_subcommand_parser_acts_as_the_full_parser(argv, monkeypatch):
     monkeypatch.setattr(cli, "_parse_command",
                         lambda name, rest: cli._build_parser().parse_args([name, *rest]))
     assert got == _outcome(argv)
+
+
+def test_import_loads_only_the_engine():
+    # A fresh interpreter, which imports nothing before domindex that the
+    # check could miss: repr and ast stand in for json.
+    probe = (
+        "import io, sys\n"
+        "before = set(sys.modules)\n"
+        "import domindex\n"
+        "added = sorted(set(sys.modules) - before)\n"
+        "from domindex.cli import main\n"
+        "sys.stdin, sys.stdout = io.StringIO('a b\\nb c\\n'), io.StringIO()\n"
+        "code = main(['analyze'])\n"
+        "sys.stdout = sys.__stdout__\n"
+        "analyzed = sorted(m for m in sys.modules if m.startswith('domindex'))\n"
+        "missing = [name for name in domindex.__all__ if getattr(domindex, name, None) is None]\n"
+        "print(repr([added, code, analyzed, missing]))\n"
+    )
+    child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                           env=_child_env(), timeout=60)
+    assert child.returncode == 0, child.stderr
+    added, code, analyzed, missing = ast.literal_eval(child.stdout)
+    engine_modules = {f"domindex.{m}" for m in ("graph", "errors", "backend", "_pykern", "engine")}
+    assert engine_modules <= set(added)
+    unused = {"dataclasses", "inspect", "json"} | {
+        f"domindex.{m}" for m in ("families", "formats", "verify", "classes", "ops")}
+    assert not unused & set(added)
+    assert code == 0 and "domindex.families" not in analyzed
+    assert missing == []
 
 
 def test_generate_and_analyze_import_no_verify_classes_or_ops():

@@ -1,10 +1,15 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domindex import (
     FamilySpec,
+    VertexSet,
     closed_neighborhood,
+    domination_profile,
     generate,
     is_connected,
     is_spanning_subgraph,
@@ -15,6 +20,7 @@ from domindex import (
 )
 from domindex.errors import (
     DisconnectedGraph,
+    InvalidFamilyParams,
     LabelConflict,
     NotAPermutation,
     SelfLoop,
@@ -235,3 +241,62 @@ def test_wiener_at_least_edge_count(g):
         assert wi >= g.m
         diameter = max(max(distances_from(g, v)) for v in range(g.n))
         assert (wi == g.m) == (diameter <= 1)
+
+
+def _abc():
+    return new_graph(3, [(0, 1), (1, 2)], ["a", "b", "c"])
+
+
+# Each record type, built twice from equal fields by ``make``; its repr, as
+# the frozen dataclasses that the records were before printed it; and a
+# record that differs from it in one field.
+RECORDS = {
+    "Graph": (_abc, "Graph(n=3, labels=('a', 'b', 'c'), open_adj=(2, 5, 2), m=2)",
+              lambda: new_graph(3, [(0, 1)], ["a", "b", "c"])),
+    "VertexSet": (lambda: VertexSet(4, 5), "VertexSet(n=4, bits=5)", lambda: VertexSet(5, 5)),
+    "DominationProfile": (
+        lambda: domination_profile(_abc()),
+        "DominationProfile(degrees=(2, 1, 2), witnesses=(VertexSet(n=3, bits=5),"
+        " VertexSet(n=3, bits=2), VertexSet(n=3, bits=5)), gamma=1, upper_gamma=2, ir=1,"
+        " upper_ir=2, min_dd=1, max_dd=2, index=5, is_drg=False)",
+        lambda: domination_profile(new_graph(3, [(0, 1), (1, 2), (0, 2)], ["a", "b", "c"]))),
+    "FamilySpec": (lambda: FamilySpec("windmill", (3, 4)), "FamilySpec(kind='windmill', params=(3, 4))",
+                   lambda: FamilySpec("windmill", (4, 3))),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_frozen_and_compare_by_their_fields(name):
+    make, text, other = RECORDS[name]
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != other()
+    assert repr(a) == text
+    field = text[text.index("(") + 1:text.index("=")]
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert copy.copy(a) == copy.deepcopy(a) == pickle.loads(pickle.dumps(a)) == b
+
+
+def test_record_construction_validates():
+    with pytest.raises(VertexOutOfRange):
+        VertexSet(3, 8)
+    with pytest.raises(VertexOutOfRange):
+        VertexSet(3, -1)
+    with pytest.raises(InvalidFamilyParams):
+        FamilySpec("nope")
+    with pytest.raises(InvalidFamilyParams):
+        FamilySpec("cycle", (2,))
+    assert FamilySpec("petersen") == FamilySpec("petersen", ())
+
+
+def test_graph_caches_take_no_part_in_equality_or_hash():
+    g, h = cycle(13), cycle(13)
+    cached = ("closed_adj", "search_closed_adj", "max_degree", "prepared", "_label_ids")
+    for name in cached:
+        getattr(g, name)
+    assert set(cached) <= set(vars(g)) and not set(cached) & set(vars(h))
+    assert g == h and hash(g) == hash(h)
+    assert pickle.loads(pickle.dumps(g)) == g
